@@ -1,84 +1,73 @@
-// Command delayload is a closed-loop churn load generator for the delayd
-// admission API. It drives a live daemon (or an in-process one it starts
-// itself) with a configurable mix of admit, release, and mixed-batch
-// operations, measures per-operation latency and end-to-end throughput,
-// and writes the percentile summary to a JSON report — the service-level
-// benchmark committed per PR as BENCH_service.json.
+// Command delayload is the churn load generator for the delayd admission
+// API. It drives a live daemon (or in-process ones it starts itself) with a
+// mix of admit, release, and mixed-batch operations, measures per-operation
+// latency and throughput, and writes the percentile summary to a JSON
+// report — the service-level benchmark committed per PR as
+// BENCH_service.json (or, with -shards, BENCH_shards.json).
 //
 // Usage:
 //
-//	delayload [-target http://host:8080 -servers s0,s1,...] | [-self 8]
+//	delayload [-target http://host:8080 -servers s0,s1,...] | [-self 8 -analyzer integrated]
 //	          [-network default] [-duration 10s] [-concurrency 4] [-mix 6:3:1]
-//	          [-rate 0] [-seed 1] [-rho 0.002] [-deadline 100]
-//	          [-out BENCH_service.json] [-gate-release-factor 0]
+//	          [-seed 1] [-rho 0.002] [-deadline 100] [-out BENCH_service.json]
+//	          [-open-rates 100,200,400 [-open-duration 3s]]
+//	          [-batch-compare 32 [-batch-trials 20]]
+//	          [-gate-release-factor 0] [-gate-batch 0]
 //
-//	delayload -shards 1,2,4,8 [-blocks 8] [-block-switches 3] ...
+//	delayload -shards 1,2,4,8 [-blocks 8] [-block-switches 3] [-prefill 0] ...
 //	          [-out BENCH_shards.json] [-gate-scaling 0]
 //
 // With -target, delayload aims at a running delayd and -servers must name
 // the fabric servers in path order (generated connections take random
-// contiguous sub-paths). Without -target, delayload starts an in-process
-// delayd over a -self N-server tandem on a loopback listener and drives
-// that — the configuration the CI smoke job uses. Operations go through
-// the network-scoped /v2 API against the -network tenant.
+// contiguous sub-paths). Without -target, every phase starts a fresh
+// in-process delayd over a -self N-server tandem on a loopback listener,
+// so no phase inherits another's admitted set. Operations go through the
+// network-scoped /v2 API of the -network tenant.
 //
-// Each worker runs a closed loop: it issues one operation, waits for the
-// response, records the latency under the operation's class, and issues
-// the next. -rate caps the aggregate operation rate (0 = unthrottled).
-// The -mix a:r:b weights choose between single admissions (POST
-// .../connections), releases of previously admitted connections (DELETE
-// .../connections/{name}), and small mixed batches (POST .../batch).
+// Every phase is one scenario (scenario.go): an op source run under an
+// arrival policy, with each op's latency timed from its scheduled send
+// time. The phases are:
 //
-// -gate-release-factor F makes delayload exit non-zero when the release
-// path's p99 exceeds the admit path's p99 by more than a factor of F —
-// the CI regression gate for the incremental-release work.
+//   - the closed loop: -concurrency workers, each sending its next op when
+//     the previous one returns, for -duration. The -mix a:r:b weights choose
+//     between single admissions (POST .../connections), releases of
+//     connections the worker admitted (DELETE .../connections/{name}), and
+//     small mixed batches (POST .../batch). The report's "ops" section.
+//   - the open-loop sweep (-open-rates r1,r2,...): per rate, Poisson
+//     arrivals of the same mix for -open-duration, each sent at its
+//     scheduled instant however many are still in flight, so overload
+//     cannot hide behind coordinated omission. The "open_loop" section.
+//   - the batch comparison (-batch-compare N): one worker alternating N
+//     sequential admissions with one batch-of-N envelope of the same
+//     candidates, plus the engine's own counters proving each envelope
+//     committed exactly one snapshot. The "batch_bench" section.
+//   - the shard sweep (-shards): the closed loop repeated once per shard
+//     count against a fresh daemon over a -blocks disjoint-block fabric
+//     (topo.DisjointBlocks) partitioned into that many shards, with every
+//     worker pinned inside one block and -prefill connections admitted per
+//     block first. All runs land under the report's top-level "runs" key.
 //
-// -open-rates r1,r2,... appends an open-loop arrival sweep to the run
-// (see openloop.go): each rate point fixes a Poisson or fixed-spacing
-// (-arrival) schedule up front and measures latency from the SCHEDULED
-// send time, so overload cannot hide behind coordinated omission. The
-// sweep lands under "open_loop" in the report, and -open-csv also writes
-// it as CSV. -batch-compare N appends a batched-vs-sequential comparison
-// ("batch_bench"): one batch-of-N envelope against N single admissions,
-// with the engine's own counters proving each envelope committed exactly
-// one snapshot; -gate-batch F fails the run when the batch p50 is not at
-// least F times better (the median is gated, not the p99: a single-ms
-// envelope's p99 is dominated by scheduler and GC noise).
-//
-// -shards runs the shard-scaling benchmark instead: for each listed shard
-// count it starts a fresh in-process daemon over a -blocks disjoint-block
-// fabric (topo.DisjointBlocks) whose engine is partitioned into that many
-// shards, pins every worker's workload inside one block (so operations
-// stay component-local and shard-local), repeats the same closed-loop
-// churn, and writes all runs to one report under a top-level "runs" key —
-// committed per PR as BENCH_shards.json. -gate-scaling F fails the run
-// when throughput at 4 shards (or the largest count) is less than F times
-// the 1-shard throughput — the CI gate proving admission throughput
-// scales with shard count on disjoint workloads.
+// Gates (exit status 1): any transport error or non-200 reply; a batch
+// envelope averaging other than one commit; release p99 > admit p99 x
+// -gate-release-factor; sequential p50 / batch p50 < -gate-batch (the
+// median is gated, not the p99: a single-ms envelope's p99 is dominated by
+// scheduler and GC noise); throughput at 4 shards (or the largest count)
+// < 1-shard throughput x -gate-scaling. A zero factor disables its gate.
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"math/rand"
-	stdnet "net"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"delaycalc/internal/analysis"
-	"delaycalc/internal/netspec"
-	"delaycalc/internal/server"
 	"delaycalc/internal/service"
 	"delaycalc/internal/topo"
 )
@@ -90,10 +79,9 @@ func main() {
 	flag.IntVar(&cfg.self, "self", 8, "tandem size of the in-process daemon (without -target)")
 	flag.StringVar(&cfg.analyzer, "analyzer", "integrated", "in-process daemon's analysis: integrated or decomposed")
 	flag.StringVar(&cfg.network, "network", service.DefaultNetworkID, "tenant network the /v2 operations are scoped to")
-	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "measurement window")
+	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "closed-loop measurement window")
 	flag.IntVar(&cfg.concurrency, "concurrency", 4, "closed-loop workers")
 	flag.StringVar(&cfg.mix, "mix", "6:3:1", "admit:release:batch operation weights")
-	flag.Float64Var(&cfg.rate, "rate", 0, "aggregate operations per second (0 = unthrottled)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload RNG seed")
 	flag.Float64Var(&cfg.rho, "rho", 0.002, "token rate of generated connections")
 	flag.Float64Var(&cfg.deadline, "deadline", 100, "deadline of generated connections")
@@ -107,10 +95,8 @@ func main() {
 	flag.Float64Var(&cfg.gateScaling, "gate-scaling", 0,
 		"fail when throughput at 4 (or max) shards < 1-shard throughput x this factor (0 disables the gate)")
 	flag.StringVar(&cfg.openRates, "open-rates", "",
-		"comma-separated target rates (ops/sec): run an open-loop arrival sweep after the closed-loop window")
-	flag.StringVar(&cfg.arrival, "arrival", "poisson", "open-loop arrival process: poisson or fixed")
+		"comma-separated Poisson arrival rates (ops/sec): run an open-loop sweep after the closed loop")
 	flag.DurationVar(&cfg.openDuration, "open-duration", 0, "open-loop window per rate point (0: use -duration)")
-	flag.StringVar(&cfg.openCSV, "open-csv", "", "also write the open-loop sweep as CSV to this path")
 	flag.IntVar(&cfg.batchCompare, "batch-compare", 0,
 		"batch size N: benchmark one batch-of-N envelope against N sequential admissions (0 disables)")
 	flag.IntVar(&cfg.batchTrials, "batch-trials", 20, "trials per arm of the batch comparison")
@@ -118,23 +104,16 @@ func main() {
 		"fail when sequential p50 / batch p50 < this factor (0 disables the gate)")
 	flag.Parse()
 
+	runner := run
 	if cfg.shards != "" {
+		runner = runShardSweep
 		outSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "out" {
-				outSet = true
-			}
-		})
+		flag.Visit(func(f *flag.Flag) { outSet = outSet || f.Name == "out" })
 		if !outSet {
 			cfg.out = "BENCH_shards.json"
 		}
-		if err := runShardSweep(&cfg, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "delayload:", err)
-			os.Exit(1)
-		}
-		return
 	}
-	if err := run(&cfg, os.Stdout); err != nil {
+	if err := runner(&cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "delayload:", err)
 		os.Exit(1)
 	}
@@ -148,7 +127,6 @@ type config struct {
 	duration          time.Duration
 	concurrency       int
 	mix               string
-	rate              float64
 	seed              int64
 	rho, deadline     float64
 	out               string
@@ -163,16 +141,11 @@ type config struct {
 
 	// Open-loop sweep (-open-rates) and batch comparison (-batch-compare).
 	openRates    string
-	arrival      string
 	openDuration time.Duration
-	openCSV      string
 	batchCompare int
 	batchTrials  int
 	gateBatch    float64
 }
-
-// apiPrefix is the network-scoped /v2 path prefix operations run under.
-func apiPrefix(network string) string { return "/v2/networks/" + network }
 
 // opStats is the per-class section of the report.
 type opStats struct {
@@ -194,17 +167,59 @@ type report struct {
 	Duration    float64            `json:"duration_seconds"`
 	Concurrency int                `json:"concurrency"`
 	Mix         string             `json:"mix"`
-	Rate        float64            `json:"rate_ops_per_sec"` // 0: unthrottled
+	Rate        float64            `json:"rate_ops_per_sec"` // always 0: the closed loop is unthrottled
 	Seed        int64              `json:"seed"`
 	TotalOps    int                `json:"total_ops"`
 	Throughput  float64            `json:"ops_per_sec"`
 	Ops         map[string]opStats `json:"ops"`
 	// EngineStats is the daemon's network-scoped stats document after the run.
-	EngineStats json.RawMessage `json:"engine_stats,omitempty"`
-	// OpenLoop is the -open-rates arrival sweep (latency from scheduled
-	// send time); BatchBench is the -batch-compare result.
-	OpenLoop   *openLoopReport   `json:"open_loop,omitempty"`
-	BatchBench *batchBenchReport `json:"batch_bench,omitempty"`
+	EngineStats json.RawMessage   `json:"engine_stats,omitempty"`
+	OpenLoop    *openLoopReport   `json:"open_loop,omitempty"`
+	BatchBench  *batchBenchReport `json:"batch_bench,omitempty"`
+}
+
+// openLoopPoint is one rate of the open-loop sweep. Latencies are measured
+// from the scheduled arrival instant, so a backlog that delays dispatch or
+// completion is charged to the operations that suffered it.
+type openLoopPoint struct {
+	TargetRate   float64 `json:"target_rate_ops_per_sec"`
+	Scheduled    int     `json:"scheduled"`
+	Completed    int     `json:"completed"`
+	Errors       int     `json:"errors"`
+	Rejected     int     `json:"rejected,omitempty"`
+	AchievedRate float64 `json:"achieved_ops_per_sec"`
+	MeanMs       float64 `json:"mean_ms"`
+	P50Ms        float64 `json:"p50_ms"`
+	P90Ms        float64 `json:"p90_ms"`
+	P99Ms        float64 `json:"p99_ms"`
+	MaxMs        float64 `json:"max_ms"`
+}
+
+// openLoopReport is the "open_loop" section of BENCH_service.json.
+type openLoopReport struct {
+	Arrival  string          `json:"arrival"` // always "poisson"
+	Duration float64         `json:"duration_seconds"`
+	Mix      string          `json:"mix"`
+	Points   []openLoopPoint `json:"points"`
+}
+
+// batchBenchReport is the "batch_bench" section of BENCH_service.json:
+// one batch-of-N envelope versus N sequential admissions, plus the
+// engine-counter proof that envelopes commit once.
+type batchBenchReport struct {
+	BatchSize       int     `json:"batch_size"`
+	Trials          int     `json:"trials"`
+	SequentialP50Ms float64 `json:"sequential_p50_ms"`
+	SequentialP99Ms float64 `json:"sequential_p99_ms"`
+	BatchP50Ms      float64 `json:"batch_p50_ms"`
+	BatchP99Ms      float64 `json:"batch_p99_ms"`
+	// SpeedupP50 (sequential p50 / batch p50) is the gate statistic; the
+	// p99 ratio is reported for tail visibility but too noisy to gate on.
+	SpeedupP50         float64 `json:"speedup_p50"`
+	Speedup            float64 `json:"speedup"` // sequential p99 / batch p99
+	Envelopes          uint64  `json:"envelopes"`
+	Commits            uint64  `json:"commits"`
+	CommitsPerEnvelope float64 `json:"commits_per_envelope"`
 }
 
 // shardRun is one sweep measurement in the BENCH_shards.json report.
@@ -234,15 +249,6 @@ type shardReport struct {
 	ScalingFactor float64    `json:"scaling_factor"`
 }
 
-// recorder accumulates one operation class's latencies inside a worker.
-type recorder struct {
-	latMs    []float64
-	errors   int
-	rejected int
-}
-
-func (r *recorder) observe(d time.Duration) { r.latMs = append(r.latMs, float64(d.Microseconds())/1000) }
-
 // percentile returns the q-quantile (0 < q <= 1) of sorted samples.
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
@@ -258,22 +264,76 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-func parseMix(s string) (admit, release, batch int, err error) {
+// summarize turns one class's samples into its report section.
+func summarize(r *recorder, elapsed time.Duration) opStats {
+	sort.Float64s(r.latMs)
+	st := opStats{
+		Count:    len(r.latMs),
+		Errors:   r.errors,
+		Rejected: r.rejected,
+		P50Ms:    percentile(r.latMs, 0.50),
+		P90Ms:    percentile(r.latMs, 0.90),
+		P99Ms:    percentile(r.latMs, 0.99),
+	}
+	if st.Count > 0 {
+		sum := 0.0
+		for _, v := range r.latMs {
+			sum += v
+		}
+		st.MeanMs = sum / float64(st.Count)
+		st.MaxMs = r.latMs[st.Count-1]
+		st.Throughput = float64(st.Count) / elapsed.Seconds()
+	}
+	return st
+}
+
+// summarize reports every class of a run and the run's total sample count.
+func (o *outcome) summarize() (map[string]opStats, int) {
+	ops, total := make(map[string]opStats), 0
+	for class, r := range o.classes {
+		st := summarize(r, o.elapsed)
+		ops[class] = st
+		total += st.Count
+	}
+	return ops, total
+}
+
+func parseMix(s string) (w [3]int, err error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("mix %q: want admit:release:batch", s)
+		return w, fmt.Errorf("mix %q: want admit:release:batch", s)
 	}
-	w := make([]int, 3)
 	for i, p := range parts {
 		w[i], err = strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || w[i] < 0 {
-			return 0, 0, 0, fmt.Errorf("mix %q: weights must be non-negative integers", s)
+			return w, fmt.Errorf("mix %q: weights must be non-negative integers", s)
 		}
 	}
 	if w[0]+w[1]+w[2] == 0 {
-		return 0, 0, 0, fmt.Errorf("mix %q: all weights are zero", s)
+		return w, fmt.Errorf("mix %q: all weights are zero", s)
 	}
-	return w[0], w[1], w[2], nil
+	return w, nil
+}
+
+// parseList parses a comma-separated list of positive numbers into
+// ascending order.
+func parseList(flagName, s string) ([]float64, error) {
+	var vals []float64
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(part, 64)
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("%s %q: values must be positive numbers", flagName, s)
+		}
+		vals = append(vals, v)
+	}
+	if len(vals) == 0 {
+		return nil, fmt.Errorf("%s %q: no values", flagName, s)
+	}
+	sort.Float64s(vals)
+	return vals, nil
 }
 
 // pickAnalyzer resolves the -analyzer flag for the in-process daemon.
@@ -288,443 +348,96 @@ func pickAnalyzer(name string) (analysis.Analyzer, error) {
 	}
 }
 
-// selfServe starts an in-process delayd over an n-server tandem fabric on
-// a loopback listener and returns its base URL, the fabric server names,
-// and a shutdown func.
-func selfServe(n int, analyzerName string) (base string, names []string, shutdown func(), err error) {
-	analyzer, err := pickAnalyzer(analyzerName)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	servers := make([]server.Server, n)
-	names = make([]string, n)
-	for i := range servers {
-		names[i] = fmt.Sprintf("s%d", i)
-		servers[i] = server.Server{Name: names[i], Capacity: 1, Discipline: server.FIFO}
-	}
-	state, err := service.NewState(servers, analyzer)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	if err := state.WarmBaseline(); err != nil {
-		return "", nil, nil, err
-	}
-	api, err := service.NewServer(service.Config{
-		State:  state,
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	if err != nil {
-		return "", nil, nil, err
-	}
-	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, nil, err
-	}
-	srv := &http.Server{Handler: api}
-	go func() { _ = srv.Serve(ln) }()
-	shutdown = func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}
-	return "http://" + ln.Addr().String(), names, shutdown, nil
-}
-
-// selfServeBlocks starts an in-process delayd over a disjoint-block fabric
-// whose engine is partitioned into the given shard count, and returns the
-// per-block server name groups so the sweep can pin each worker's workload
-// inside one block (component-local, hence shard-local, operations).
-func selfServeBlocks(blocks, switches, shards int) (base string, blockNames [][]string, shutdown func(), err error) {
-	net, err := topo.DisjointBlocks(blocks, switches, 0.5)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	state, err := service.NewStateShards(net.Servers, analysis.Integrated{}, shards)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	if err := state.WarmBaseline(); err != nil {
-		return "", nil, nil, err
-	}
-	api, err := service.NewServer(service.Config{
-		State:  state,
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	if err != nil {
-		return "", nil, nil, err
-	}
-	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, nil, err
-	}
-	srv := &http.Server{Handler: api}
-	go func() { _ = srv.Serve(ln) }()
-	shutdown = func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}
-	blockNames = make([][]string, blocks)
-	for b := 0; b < blocks; b++ {
-		group := make([]string, switches)
-		for j := 0; j < switches; j++ {
-			group[j] = net.Servers[b*switches+j].Name
-		}
-		blockNames[b] = group
-	}
-	return "http://" + ln.Addr().String(), blockNames, shutdown, nil
-}
-
-// worker is one closed loop: it owns a pool of the connections it has
-// admitted (so its releases never race another worker's) and one recorder
-// per operation class.
-type worker struct {
-	id      int
-	base    string
-	prefix  string // network-scoped /v2 path prefix
-	client  *http.Client
-	rng     *rand.Rand
-	names   []string // fabric servers in path order
-	rho     float64
-	deadl   float64
-	seq     int
-	pool    []string
-	rec     map[string]*recorder
-	tick    <-chan time.Time // nil: unthrottled
-	wAdmit  int
-	wRel    int
-	wBatch  int
-	errLast error
-}
-
-func (w *worker) recordFor(class string) *recorder {
-	r, ok := w.rec[class]
-	if !ok {
-		r = &recorder{}
-		w.rec[class] = r
-	}
-	return r
-}
-
-// connSpec generates one candidate on a random contiguous sub-path.
-func (w *worker) connSpec() netspec.ConnectionSpec {
-	w.seq++
-	hops := 2
-	if len(w.names) < 2 {
-		hops = len(w.names)
-	} else if len(w.names) > 2 && w.rng.Intn(2) == 0 {
-		hops = 3
-		if hops > len(w.names) {
-			hops = len(w.names)
-		}
-	}
-	start := w.rng.Intn(len(w.names) - hops + 1)
-	path := make([]json.RawMessage, hops)
-	for i, name := range w.names[start : start+hops] {
-		raw, _ := json.Marshal(name)
-		path[i] = raw
-	}
-	return netspec.ConnectionSpec{
-		Name:       fmt.Sprintf("ld%dn%d", w.id, w.seq),
-		Sigma:      1,
-		Rho:        w.rho,
-		AccessRate: 1,
-		Path:       path,
-		Deadline:   w.deadl,
-	}
-}
-
-func (w *worker) post(path string, body any) (*http.Response, []byte, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := w.client.Post(w.base+path, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return resp, data, err
-}
-
-func (w *worker) doAdmit() {
-	rec := w.recordFor("admit")
-	spec := w.connSpec()
-	start := time.Now()
-	resp, data, err := w.post(w.prefix+"/connections", service.AdmitRequest{Connection: spec})
-	elapsed := time.Since(start)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		rec.errors++
-		w.errLast = fmt.Errorf("admit: %v (status %v)", err, respStatus(resp))
-		return
-	}
-	rec.observe(elapsed)
-	var ar service.AdmitResponse
-	if json.Unmarshal(data, &ar) == nil && ar.Admitted {
-		w.pool = append(w.pool, spec.Name)
-	} else {
-		rec.rejected++
-	}
-}
-
-func (w *worker) doRelease() {
-	if len(w.pool) == 0 {
-		w.doAdmit()
-		return
-	}
-	rec := w.recordFor("release")
-	i := w.rng.Intn(len(w.pool))
-	name := w.pool[i]
-	w.pool = append(w.pool[:i], w.pool[i+1:]...)
-	start := time.Now()
-	req, err := http.NewRequest(http.MethodDelete, w.base+w.prefix+"/connections/"+name, nil)
-	if err != nil {
-		rec.errors++
-		return
-	}
-	resp, err := w.client.Do(req)
-	elapsed := time.Since(start)
-	if err != nil {
-		rec.errors++
-		w.errLast = fmt.Errorf("release: %v", err)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rec.errors++
-		w.errLast = fmt.Errorf("release: status %d", resp.StatusCode)
-		return
-	}
-	rec.observe(elapsed)
-}
-
-func (w *worker) doBatch() {
-	rec := w.recordFor("batch")
-	specA, specB := w.connSpec(), w.connSpec()
-	ops := []service.BatchOp{
-		{Op: "admit", Connection: &specA},
-		{Op: "admit", Connection: &specB},
-	}
-	releasing := ""
-	if len(w.pool) > 0 {
-		i := w.rng.Intn(len(w.pool))
-		releasing = w.pool[i]
-		w.pool = append(w.pool[:i], w.pool[i+1:]...)
-		ops = append(ops, service.BatchOp{Op: "release", Name: releasing})
-	}
-	start := time.Now()
-	resp, data, err := w.post(w.prefix+"/batch", service.BatchRequest{Operations: ops})
-	elapsed := time.Since(start)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		rec.errors++
-		w.errLast = fmt.Errorf("batch: %v (status %v)", err, respStatus(resp))
-		return
-	}
-	rec.observe(elapsed)
-	var br service.BatchResponse
-	if json.Unmarshal(data, &br) != nil {
-		rec.errors++
-		return
-	}
-	for _, res := range br.Results {
-		if res.Op == "admit" && res.Status == service.BatchStatusAdmitted {
-			w.pool = append(w.pool, ops[res.Index].Connection.Name)
-		}
-	}
-}
-
-func respStatus(resp *http.Response) any {
-	if resp == nil {
-		return "none"
-	}
-	return resp.StatusCode
-}
-
-func (w *worker) loop(ctx context.Context) {
-	total := w.wAdmit + w.wRel + w.wBatch
-	for ctx.Err() == nil {
-		if w.tick != nil {
-			select {
-			case <-w.tick:
-			case <-ctx.Done():
-				return
-			}
-		}
-		switch n := w.rng.Intn(total); {
-		case n < w.wAdmit:
-			w.doAdmit()
-		case n < w.wAdmit+w.wRel:
-			w.doRelease()
-		default:
-			w.doBatch()
-		}
-	}
-}
-
-// measure runs the closed-loop workload against base for cfg.duration and
-// returns the merged percentile report. namesFor assigns each worker the
-// fabric server names (in path order) its generated connections run over —
-// the sweep uses it to pin workers inside disjoint blocks. poolFor (may be
-// nil) seeds each worker's release pool with already-admitted connections.
-func measure(cfg *config, base string, namesFor, poolFor func(workerID int) []string) (*report, error) {
-	wAdmit, wRel, wBatch, err := parseMix(cfg.mix)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.concurrency < 1 {
-		return nil, fmt.Errorf("concurrency must be at least 1")
-	}
-	if cfg.duration <= 0 {
-		return nil, fmt.Errorf("duration must be positive")
-	}
-
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if cfg.rate > 0 {
-		ticker = time.NewTicker(time.Duration(float64(time.Second) / cfg.rate))
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.duration)
-	defer cancel()
-	workers := make([]*worker, cfg.concurrency)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range workers {
-		workers[i] = &worker{
-			id:     i,
-			base:   base,
-			prefix: apiPrefix(cfg.network),
-			client: &http.Client{Timeout: 30 * time.Second},
-			rng:    rand.New(rand.NewSource(cfg.seed + int64(i)*7919)),
-			names:  namesFor(i),
-			rho:    cfg.rho,
-			deadl:  cfg.deadline,
-			rec:    make(map[string]*recorder),
-			tick:   tick,
-			wAdmit: wAdmit, wRel: wRel, wBatch: wBatch,
-		}
-		if poolFor != nil {
-			workers[i].pool = append(workers[i].pool, poolFor(i)...)
-		}
-		wg.Add(1)
-		go func(w *worker) { defer wg.Done(); w.loop(ctx) }(workers[i])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := &report{
-		Target:      base,
-		Network:     cfg.network,
-		Duration:    elapsed.Seconds(),
-		Concurrency: cfg.concurrency,
-		Mix:         cfg.mix,
-		Rate:        cfg.rate,
-		Seed:        cfg.seed,
-		Ops:         make(map[string]opStats),
-	}
-	merged := make(map[string]*recorder)
-	for _, w := range workers {
-		for class, r := range w.rec {
-			m, ok := merged[class]
-			if !ok {
-				m = &recorder{}
-				merged[class] = m
-			}
-			m.latMs = append(m.latMs, r.latMs...)
-			m.errors += r.errors
-			m.rejected += r.rejected
-		}
-		if w.errLast != nil {
-			fmt.Fprintf(os.Stderr, "delayload: worker %d last error: %v\n", w.id, w.errLast)
-		}
-	}
-	for class, r := range merged {
-		sort.Float64s(r.latMs)
-		sum := 0.0
-		for _, v := range r.latMs {
-			sum += v
-		}
-		st := opStats{
-			Count:    len(r.latMs),
-			Errors:   r.errors,
-			Rejected: r.rejected,
-			P50Ms:    percentile(r.latMs, 0.50),
-			P90Ms:    percentile(r.latMs, 0.90),
-			P99Ms:    percentile(r.latMs, 0.99),
-		}
-		if st.Count > 0 {
-			st.MeanMs = sum / float64(st.Count)
-			st.MaxMs = r.latMs[st.Count-1]
-			st.Throughput = float64(st.Count) / elapsed.Seconds()
-		}
-		rep.Ops[class] = st
-		rep.TotalOps += st.Count
-	}
-	rep.Throughput = float64(rep.TotalOps) / elapsed.Seconds()
-
-	// Attach the daemon's own counters so the report records how much of
-	// the churn ran incrementally (and, sharded, how it spread).
-	if resp, err := http.Get(base + apiPrefix(cfg.network) + "/stats"); err == nil {
-		if data, err := io.ReadAll(resp.Body); err == nil && resp.StatusCode == http.StatusOK {
-			rep.EngineStats = json.RawMessage(data)
-		}
-		resp.Body.Close()
-	}
-	return rep, nil
-}
-
-func run(cfg *config, out io.Writer) error {
+// validate checks the settings every scenario shares.
+func validate(cfg *config) ([3]int, error) {
 	if cfg.network == "" {
 		cfg.network = service.DefaultNetworkID
 	}
-	base := cfg.target
-	var names []string
-	if base == "" {
-		if cfg.self < 1 {
-			return fmt.Errorf("-self must be at least 1 without -target")
-		}
-		var shutdown func()
-		var err error
-		base, names, shutdown, err = selfServe(cfg.self, cfg.analyzer)
-		if err != nil {
-			return err
-		}
-		defer shutdown()
-	} else {
+	if cfg.concurrency < 1 {
+		return [3]int{}, fmt.Errorf("concurrency must be at least 1")
+	}
+	if cfg.duration <= 0 {
+		return [3]int{}, fmt.Errorf("duration must be positive")
+	}
+	return parseMix(cfg.mix)
+}
+
+// fabric resolves the daemon the run drives: the fabric server names in
+// path order and a connect function returning a client plus its shutdown.
+// With -target every phase connects to that daemon; without it each call
+// starts a fresh in-process daemon over the -self tandem.
+func fabric(cfg *config) ([]string, func() (*daemon, func(), error), error) {
+	if cfg.target != "" {
+		var names []string
 		for _, n := range strings.Split(cfg.servers, ",") {
 			if n = strings.TrimSpace(n); n != "" {
 				names = append(names, n)
 			}
 		}
 		if len(names) == 0 {
-			return fmt.Errorf("-target requires -servers with the fabric server names in path order")
+			return nil, nil, fmt.Errorf("-target requires -servers with the fabric server names in path order")
 		}
+		d := newDaemon(cfg.target, cfg.network)
+		return names, func() (*daemon, func(), error) { return d, func() {}, nil }, nil
 	}
+	if cfg.self < 1 {
+		return nil, nil, fmt.Errorf("-self must be at least 1 without -target")
+	}
+	analyzer, err := pickAnalyzer(cfg.analyzer)
+	if err != nil {
+		return nil, nil, err
+	}
+	servers := tandem(cfg.self)
+	names := make([]string, len(servers))
+	for i, s := range servers {
+		names[i] = s.Name
+	}
+	return names, func() (*daemon, func(), error) { return selfServe(servers, analyzer, 1) }, nil
+}
 
-	// The batch comparison runs first: in self-serve mode it spins up its
-	// own clean daemon, and running it before the closed-loop and open-loop
-	// phases keeps their daemon's standing state and GC heap out of the
-	// ~1 ms-scale envelope samples the batch gate judges.
-	var batchBench *batchBenchReport
-	if cfg.batchCompare > 0 {
-		bb, err := runBatchCompare(cfg, names, out)
-		if err != nil {
-			return err
-		}
-		batchBench = bb
-	}
-	rep, err := measure(cfg, base, func(int) []string { return names }, nil)
+func run(cfg *config, out io.Writer) error {
+	mix, err := validate(cfg)
 	if err != nil {
 		return err
 	}
-	rep.BatchBench = batchBench
+	names, connect, err := fabric(cfg)
+	if err != nil {
+		return err
+	}
+
+	// The batch comparison runs first, on its own daemon: that keeps the
+	// closed loop's standing state and GC heap out of the ~1 ms-scale
+	// envelope samples the batch gate judges.
+	var batchBench *batchBenchReport
+	if cfg.batchCompare > 0 {
+		if batchBench, err = runBatchCompare(cfg, names, connect, out); err != nil {
+			return err
+		}
+	}
+	d, shutdown, err := connect()
+	if err != nil {
+		return err
+	}
+	res := execute(d, policy{workers: cfg.concurrency, window: cfg.duration},
+		newChurn("ld", mix, cfg, cfg.concurrency, cfg.seed, func(int) []string { return names }).next)
+	rep := &report{
+		Target:      d.host,
+		Network:     cfg.network,
+		Duration:    res.elapsed.Seconds(),
+		Concurrency: cfg.concurrency,
+		Mix:         cfg.mix,
+		Seed:        cfg.seed,
+		BatchBench:  batchBench,
+	}
+	rep.Ops, rep.TotalOps = res.summarize()
+	rep.Throughput = float64(rep.TotalOps) / res.elapsed.Seconds()
+	// The daemon's own counters record how much of the churn ran
+	// incrementally (and, sharded, how it spread).
+	_ = d.call("GET", "/stats", nil, &rep.EngineStats)
+	shutdown()
+	res.logLastError()
 	if cfg.openRates != "" {
-		rep.OpenLoop, err = runOpenLoopSweep(cfg, names, out)
-		if err != nil {
+		if rep.OpenLoop, err = runOpenLoopSweep(cfg, mix, names, connect, out); err != nil {
 			return err
 		}
 	}
@@ -742,21 +455,13 @@ func run(cfg *config, out io.Writer) error {
 		fmt.Fprintf(out, "%-8s %8d %7d %9.3f %9.3f %9.3f %9.3f\n",
 			class, st.Count, st.Errors, st.P50Ms, st.P90Ms, st.P99Ms, st.MaxMs)
 	}
-
-	if cfg.out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "report written to %s\n", cfg.out)
+	if err := writeReport(cfg.out, rep, out); err != nil {
+		return err
 	}
 
 	var failures []error
-	for class, st := range rep.Ops {
-		if st.Errors > 0 {
+	for _, class := range classes {
+		if st := rep.Ops[class]; st.Errors > 0 {
 			failures = append(failures, fmt.Errorf("%d %s operations failed", st.Errors, class))
 		}
 	}
@@ -790,9 +495,6 @@ func run(cfg *config, out io.Writer) error {
 				bb.CommitsPerEnvelope, bb.Commits, bb.Envelopes))
 		}
 		if cfg.gateBatch > 0 {
-			// Gate on the median ratio: a single ~1 ms batch envelope's p99
-			// is one unlucky scheduler or GC hiccup away from a 2-3x
-			// outlier, while the p50 of repeated trials is reproducible.
 			if bb.SpeedupP50 < cfg.gateBatch {
 				failures = append(failures, fmt.Errorf("batch gate: batch-of-%d p50 only %.2fx faster than sequential (need %.1fx; p99 ratio %.2fx)",
 					bb.BatchSize, bb.SpeedupP50, cfg.gateBatch, bb.Speedup))
@@ -804,110 +506,148 @@ func run(cfg *config, out io.Writer) error {
 	return errors.Join(failures...)
 }
 
-// parseShardList parses the -shards value into ascending-ordered counts.
-func parseShardList(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("shards %q: counts must be positive integers", s)
-		}
-		counts = append(counts, n)
+// runOpenLoopSweep runs the churn mix as Poisson arrivals at every
+// -open-rates point, each point on a fresh connection from connect.
+func runOpenLoopSweep(cfg *config, mix [3]int, names []string, connect func() (*daemon, func(), error), out io.Writer) (*openLoopReport, error) {
+	rates, err := parseList("open-rates", cfg.openRates)
+	if err != nil {
+		return nil, err
 	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("shards %q: no counts", s)
+	dur := cfg.openDuration
+	if dur <= 0 {
+		dur = cfg.duration
 	}
-	sort.Ints(counts)
-	return counts, nil
+	rep := &openLoopReport{Arrival: "poisson", Duration: dur.Seconds(), Mix: cfg.mix}
+	fmt.Fprintf(out, "delayload: open-loop sweep (poisson arrivals, %s per point)\n", dur)
+	for _, rate := range rates {
+		d, shutdown, err := connect()
+		if err != nil {
+			return nil, fmt.Errorf("rate=%g: %w", rate, err)
+		}
+		seed := cfg.seed + int64(rate*1000)
+		res := execute(d, policy{rate: rate, window: dur, seed: seed},
+			newChurn(fmt.Sprintf("ol%g.", rate), mix, cfg, 1, seed+1, func(int) []string { return names }).next)
+		shutdown()
+		if res.sent == 0 {
+			return nil, fmt.Errorf("rate=%g: %s schedules no arrivals", rate, dur)
+		}
+		res.logLastError()
+		all := &recorder{}
+		for _, r := range res.classes {
+			all.merge(r)
+		}
+		st := summarize(all, res.elapsed)
+		pt := openLoopPoint{
+			TargetRate:   rate,
+			Scheduled:    res.sent,
+			Completed:    st.Count,
+			Errors:       st.Errors,
+			Rejected:     st.Rejected,
+			AchievedRate: st.Throughput,
+			MeanMs:       st.MeanMs,
+			P50Ms:        st.P50Ms,
+			P90Ms:        st.P90Ms,
+			P99Ms:        st.P99Ms,
+			MaxMs:        st.MaxMs,
+		}
+		rep.Points = append(rep.Points, pt)
+		fmt.Fprintf(out, "rate=%-6g %5d/%d done (%.0f ops/s achieved, %d errors)  p50 %.3f  p99 %.3f  max %.3f ms\n",
+			rate, pt.Completed, pt.Scheduled, pt.AchievedRate, pt.Errors, pt.P50Ms, pt.P99Ms, pt.MaxMs)
+	}
+	return rep, nil
 }
 
-// prefillBlocks admits cfg.prefill connections per block before the timed
-// window so the engines start with a realistic standing admitted set, and
-// hands the admitted names out as the workers' initial release pools (each
-// worker gets prefilled connections from the block it is pinned to).
-func prefillBlocks(cfg *config, base string, blockNames [][]string) ([][]string, error) {
-	pools := make([][]string, cfg.concurrency)
-	if cfg.prefill <= 0 {
-		return pools, nil
+// runBatchCompare runs the two arms of the batch comparison on one worker,
+// after unrecorded warm-up trials that absorb one-time costs (connection
+// setup, heap growth, the first GC cycles), and reads the daemon's batch
+// counters around the recorded trials.
+func runBatchCompare(cfg *config, names []string, connect func() (*daemon, func(), error), out io.Writer) (*batchBenchReport, error) {
+	n, trials := cfg.batchCompare, cfg.batchTrials
+	if trials < 1 {
+		return nil, fmt.Errorf("batch-trials must be at least 1")
 	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	for b, names := range blockNames {
-		// Workers pinned to this block (i % blocks == b) share its prefill.
-		var owners []int
-		for i := 0; i < cfg.concurrency; i++ {
-			if i%len(blockNames) == b {
-				owners = append(owners, i)
-			}
-		}
-		for j := 0; j < cfg.prefill; j++ {
-			hops := 2
-			if len(names) < 2 {
-				hops = len(names)
-			}
-			start := j % (len(names) - hops + 1)
-			path := make([]json.RawMessage, hops)
-			for k, name := range names[start : start+hops] {
-				raw, _ := json.Marshal(name)
-				path[k] = raw
-			}
-			spec := netspec.ConnectionSpec{
-				Name:       fmt.Sprintf("pf%dx%d", b, j),
-				Sigma:      1,
-				Rho:        cfg.rho,
-				AccessRate: 1,
-				Path:       path,
-				Deadline:   cfg.deadline,
-			}
-			raw, _ := json.Marshal(service.AdmitRequest{Connection: spec})
-			resp, err := client.Post(base+apiPrefix(cfg.network)+"/connections", "application/json", bytes.NewReader(raw))
-			if err != nil {
-				return nil, err
-			}
-			data, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				return nil, fmt.Errorf("admitting %s: status %d: %s", spec.Name, resp.StatusCode, data)
-			}
-			var ar service.AdmitResponse
-			if json.Unmarshal(data, &ar) != nil || !ar.Admitted {
-				// The fabric is full at this rho; a partial prefill still
-				// serves its purpose (a standing admitted set).
-				break
-			}
-			if len(owners) > 0 {
-				owner := owners[j%len(owners)]
-				pools[owner] = append(pools[owner], spec.Name)
-			}
-		}
+	d, shutdown, err := connect()
+	if err != nil {
+		return nil, err
 	}
-	return pools, nil
+	defer shutdown()
+	arms := batchArms(n, names, cfg.rho, cfg.deadline)
+	warmup := min(3, trials)
+	if err := execute(d, policy{workers: 1, ops: armSteps * warmup}, arms).err(); err != nil {
+		return nil, fmt.Errorf("batch-compare warm-up: %w", err)
+	}
+	var before, after service.StatsResponse
+	if err := d.call("GET", "/stats", nil, &before); err != nil {
+		return nil, err
+	}
+	res := execute(d, policy{workers: 1, ops: armSteps * trials}, arms)
+	if err := res.err(); err != nil {
+		return nil, fmt.Errorf("batch-compare: %w", err)
+	}
+	if err := d.call("GET", "/stats", nil, &after); err != nil {
+		return nil, err
+	}
+	seq, batch := summarize(res.class("sequential"), res.elapsed), summarize(res.class("batch"), res.elapsed)
+	rep := &batchBenchReport{
+		BatchSize:       n,
+		Trials:          trials,
+		SequentialP50Ms: seq.P50Ms,
+		SequentialP99Ms: seq.P99Ms,
+		BatchP50Ms:      batch.P50Ms,
+		BatchP99Ms:      batch.P99Ms,
+		Envelopes:       after.BatchEnvelopes - before.BatchEnvelopes,
+		Commits:         after.BatchCommits - before.BatchCommits,
+	}
+	if rep.BatchP99Ms > 0 {
+		rep.Speedup = rep.SequentialP99Ms / rep.BatchP99Ms
+	}
+	if rep.BatchP50Ms > 0 {
+		rep.SpeedupP50 = rep.SequentialP50Ms / rep.BatchP50Ms
+	}
+	if rep.Envelopes > 0 {
+		rep.CommitsPerEnvelope = float64(rep.Commits) / float64(rep.Envelopes)
+	}
+	fmt.Fprintf(out, "batch-compare: %d x %d ops — sequential p50 %.3f / p99 %.3f ms, batch p50 %.3f / p99 %.3f ms (%.2fx p50, %.2fx p99), %.2f commits/envelope\n",
+		trials, n, rep.SequentialP50Ms, rep.SequentialP99Ms, rep.BatchP50Ms, rep.BatchP99Ms, rep.SpeedupP50, rep.Speedup, rep.CommitsPerEnvelope)
+	return rep, nil
 }
 
-// runShardSweep measures the same closed-loop churn once per shard count
-// over a disjoint-block fabric, with every worker pinned inside one block
-// so operations stay shard-local, and writes all runs to one report.
+// runShardSweep runs the closed loop once per shard count against a fresh
+// daemon over a disjoint-block fabric, with every worker pinned inside one
+// block so operations stay shard-local, and writes all runs to one report.
 func runShardSweep(cfg *config, out io.Writer) error {
-	counts, err := parseShardList(cfg.shards)
+	mix, err := validate(cfg)
 	if err != nil {
 		return err
+	}
+	counts, err := parseList("shards", cfg.shards)
+	if err != nil {
+		return err
+	}
+	for _, c := range counts {
+		if c != float64(int(c)) {
+			return fmt.Errorf("shards %q: counts must be positive integers", cfg.shards)
+		}
 	}
 	if cfg.target != "" {
 		return fmt.Errorf("-shards starts its own in-process daemons and cannot be combined with -target")
 	}
-	if cfg.network == "" {
-		cfg.network = service.DefaultNetworkID
-	}
 	if cfg.network != service.DefaultNetworkID {
 		return fmt.Errorf("-shards drives the in-process daemon's default network, not -network %q", cfg.network)
 	}
-	if cfg.blocks < counts[len(counts)-1] {
-		return fmt.Errorf("-blocks %d < max shard count %d: shards beyond the block count would idle",
-			cfg.blocks, counts[len(counts)-1])
+	if maxShards := int(counts[len(counts)-1]); cfg.blocks < maxShards {
+		return fmt.Errorf("-blocks %d < max shard count %d: shards beyond the block count would idle", cfg.blocks, maxShards)
 	}
+	net, err := topo.DisjointBlocks(cfg.blocks, cfg.blockSwitches, 0.5)
+	if err != nil {
+		return err
+	}
+	blockNames := make([][]string, cfg.blocks)
+	for i, s := range net.Servers {
+		b := i / cfg.blockSwitches
+		blockNames[b] = append(blockNames[b], s.Name)
+	}
+	laneNames := func(i int) []string { return blockNames[i%len(blockNames)] }
 
 	sweep := shardReport{
 		Blocks:        cfg.blocks,
@@ -920,35 +660,33 @@ func runShardSweep(cfg *config, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "delayload: shard sweep over %d disjoint blocks x %d switches, %d workers, %s each\n",
 		cfg.blocks, cfg.blockSwitches, cfg.concurrency, cfg.duration)
-	for _, shards := range counts {
-		base, blockNames, shutdown, err := selfServeBlocks(cfg.blocks, cfg.blockSwitches, shards)
+	for _, c := range counts {
+		shards := int(c)
+		d, shutdown, err := selfServe(net.Servers, analysis.Integrated{}, shards)
 		if err != nil {
 			return fmt.Errorf("shards=%d: %w", shards, err)
 		}
-		pools, err := prefillBlocks(cfg, base, blockNames)
-		if err != nil {
+		src := newChurn("ld", mix, cfg, cfg.concurrency, cfg.seed, laneNames)
+		if err := src.prefill(d, blockNames, cfg.prefill); err != nil {
 			shutdown()
 			return fmt.Errorf("shards=%d: prefill: %w", shards, err)
 		}
-		rep, err := measure(cfg, base,
-			func(i int) []string { return blockNames[i%len(blockNames)] },
-			func(i int) []string { return pools[i] })
+		res := execute(d, policy{workers: cfg.concurrency, window: cfg.duration}, src.next)
+		var stats service.StatsResponse
+		statsErr := d.call("GET", "/stats", nil, &stats)
 		shutdown()
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", shards, err)
+		res.logLastError()
+		if statsErr != nil {
+			return fmt.Errorf("shards=%d: %w", shards, statsErr)
 		}
 		run := shardRun{
-			Shards:     shards,
-			Duration:   rep.Duration,
-			TotalOps:   rep.TotalOps,
-			Throughput: rep.Throughput,
-			Ops:        rep.Ops,
+			Shards:            shards,
+			Duration:          res.elapsed.Seconds(),
+			CrossShardCommits: stats.CrossShardCommits,
+			CommitConflicts:   stats.CommitConflicts,
 		}
-		var stats service.StatsResponse
-		if len(rep.EngineStats) > 0 && json.Unmarshal(rep.EngineStats, &stats) == nil {
-			run.CrossShardCommits = stats.CrossShardCommits
-			run.CommitConflicts = stats.CommitConflicts
-		}
+		run.Ops, run.TotalOps = res.summarize()
+		run.Throughput = float64(run.TotalOps) / res.elapsed.Seconds()
 		sweep.Runs = append(sweep.Runs, run)
 		fmt.Fprintf(out, "shards=%d: %d ops in %.1fs (%.0f ops/s), %d cross-shard commits, %d conflicts\n",
 			shards, run.TotalOps, run.Duration, run.Throughput, run.CrossShardCommits, run.CommitConflicts)
@@ -973,16 +711,8 @@ func runShardSweep(cfg *config, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "scaling: %.2fx ops/s going from %d to %d shards\n",
 		sweep.ScalingFactor, sweep.ScalingFrom, sweep.ScalingTo)
-
-	if cfg.out != "" {
-		data, err := json.MarshalIndent(sweep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "report written to %s\n", cfg.out)
+	if err := writeReport(cfg.out, sweep, out); err != nil {
+		return err
 	}
 
 	if cfg.gateScaling > 0 {
@@ -995,5 +725,21 @@ func runShardSweep(cfg *config, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "scaling gate ok: %.2fx >= %.1fx\n", sweep.ScalingFactor, cfg.gateScaling)
 	}
+	return nil
+}
+
+// writeReport writes v as indented JSON to path (nothing when path is empty).
+func writeReport(path string, v any, out io.Writer) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "report written to %s\n", path)
 	return nil
 }

@@ -11,12 +11,12 @@ import (
 )
 
 func TestParseMix(t *testing.T) {
-	a, r, b, err := parseMix("6:3:1")
-	if err != nil || a != 6 || r != 3 || b != 1 {
-		t.Fatalf("6:3:1 -> %d %d %d %v", a, r, b, err)
+	w, err := parseMix("6:3:1")
+	if err != nil || w != [3]int{6, 3, 1} {
+		t.Fatalf("6:3:1 -> %v %v", w, err)
 	}
 	for _, bad := range []string{"", "1:2", "1:2:3:4", "-1:2:3", "x:2:3", "0:0:0"} {
-		if _, _, _, err := parseMix(bad); err == nil {
+		if _, err := parseMix(bad); err == nil {
 			t.Errorf("mix %q accepted", bad)
 		}
 	}
@@ -78,10 +78,112 @@ func TestRunInProcess(t *testing.T) {
 		t.Fatalf("admit errors: %+v", admit)
 	}
 	if len(rep.EngineStats) == 0 {
-		t.Fatal("report is missing the daemon's /v1/stats document")
+		t.Fatal("report is missing the daemon's stats document")
 	}
 	if !strings.Contains(buf.String(), "report written") {
 		t.Fatalf("missing summary output:\n%s", buf.String())
+	}
+}
+
+// runReport runs cfg in-process and decodes the report it wrote.
+func runReport[T any](t *testing.T, cfg *config) T {
+	t.Helper()
+	cfg.out = filepath.Join(t.TempDir(), "report.json")
+	runner := run
+	if cfg.shards != "" {
+		runner = runShardSweep
+	}
+	var buf bytes.Buffer
+	if err := runner(cfg, &buf); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
+	}
+	data, err := os.ReadFile(cfg.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep T
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	return rep
+}
+
+// shortRun is a ~100 ms closed loop on the 4-server tandem that the
+// scenario tests extend with the phase under test.
+func shortRun() *config {
+	return &config{self: 4, duration: 100 * time.Millisecond, concurrency: 2, mix: "6:3:1",
+		seed: 1, rho: 0.002, deadline: 100}
+}
+
+// TestOpenLoopPoint runs one Poisson rate point after the closed loop and
+// checks the "open_loop" section: every scheduled arrival completed.
+func TestOpenLoopPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load run skipped in -short mode")
+	}
+	cfg := shortRun()
+	cfg.openRates, cfg.openDuration = "200", 200*time.Millisecond
+	rep := runReport[report](t, cfg)
+	ol := rep.OpenLoop
+	if ol == nil || ol.Arrival != "poisson" || ol.Duration != 0.2 || ol.Mix != "6:3:1" || len(ol.Points) != 1 {
+		t.Fatalf("open_loop section: %+v", ol)
+	}
+	pt := ol.Points[0]
+	if pt.TargetRate != 200 || pt.Scheduled == 0 || pt.Completed != pt.Scheduled || pt.Errors != 0 {
+		t.Fatalf("open-loop point: %+v", pt)
+	}
+	if pt.AchievedRate <= 0 || pt.P50Ms <= 0 || pt.P99Ms < pt.P50Ms || pt.MaxMs < pt.P99Ms {
+		t.Fatalf("open-loop latencies: %+v", pt)
+	}
+}
+
+// TestBatchCompare runs the batch comparison (N=4, 3 trials) and checks the
+// "batch_bench" section, including one commit per envelope.
+func TestBatchCompare(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load run skipped in -short mode")
+	}
+	cfg := shortRun()
+	cfg.batchCompare, cfg.batchTrials = 4, 3
+	bb := runReport[report](t, cfg).BatchBench
+	if bb == nil || bb.BatchSize != 4 || bb.Trials != 3 {
+		t.Fatalf("batch_bench section: %+v", bb)
+	}
+	if bb.SequentialP50Ms <= 0 || bb.BatchP50Ms <= 0 || bb.SpeedupP50 <= 0 || bb.Speedup <= 0 {
+		t.Fatalf("batch_bench latencies: %+v", bb)
+	}
+	// Three trials of one batch envelope and two cleanup envelopes each.
+	if bb.Envelopes != 9 || bb.Commits != 9 || bb.CommitsPerEnvelope != 1 {
+		t.Fatalf("batch_bench commits: %+v", bb)
+	}
+}
+
+// TestShardSweep runs -shards 1,2 over two blocks and checks the
+// BENCH_shards.json schema.
+func TestShardSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load run skipped in -short mode")
+	}
+	cfg := shortRun()
+	cfg.duration = 150 * time.Millisecond
+	cfg.shards, cfg.blocks, cfg.blockSwitches, cfg.prefill = "1,2", 2, 3, 5
+	cfg.network = "default"
+	rep := runReport[shardReport](t, cfg)
+	if rep.Blocks != 2 || rep.BlockSwitches != 3 || rep.Prefill != 5 || rep.Concurrency != 2 || len(rep.Runs) != 2 {
+		t.Fatalf("shard report: %+v", rep)
+	}
+	for i, run := range rep.Runs {
+		if run.Shards != i+1 || run.TotalOps == 0 || run.Throughput <= 0 {
+			t.Fatalf("run %d: %+v", i, run)
+		}
+		for class, st := range run.Ops {
+			if st.Errors != 0 {
+				t.Fatalf("run %d: %d %s errors", i, st.Errors, class)
+			}
+		}
+	}
+	if rep.ScalingFrom != 1 || rep.ScalingTo != 2 || rep.ScalingFactor <= 0 {
+		t.Fatalf("scaling: %+v", rep)
 	}
 }
 

@@ -7,93 +7,67 @@ import (
 	"time"
 )
 
-// TestV1AliasesAndLegacyDeprecation drives every /v1 and legacy spelling
-// through the full handler stack: each must behave exactly like its
-// network-scoped /v2 route against the default network and carry the
-// Deprecation header with a successor-version link, while /v2 canonical
-// routes stay header-free.
-func TestV1AliasesAndLegacyDeprecation(t *testing.T) {
+// TestRemovedSpellingsGone sends every spelling from before the API settled
+// on /v2, with two methods each: all answer 410 gone naming the /v2
+// successor in the message and a successor-version Link, count under one
+// metrics label, and leave the admitted set untouched.
+func TestRemovedSpellingsGone(t *testing.T) {
 	srv := newTestServer(t, nil)
-
-	// POST /admit and POST /v1/admit are spellings of the v2 admit route.
-	w := do(t, srv, "POST", "/v1/admit", admitBody)
-	if w.Code != http.StatusOK || !decode[AdmitResponse](t, w).Admitted {
-		t.Fatalf("/v1/admit: %d %s", w.Code, w.Body)
+	if w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody); w.Code != http.StatusOK {
+		t.Fatalf("admit: %d %s", w.Code, w.Body)
 	}
+	count, version := srv.State().Count(), srv.State().SnapshotVersion()
 
-	deprecatedSpellings := []struct {
-		method, path, body, successor string
-		want                          int
-	}{
-		{"POST", "/connections", strings.Replace(admitBody, `"video"`, `"v2"`, 1), "/v2/networks/default/connections", http.StatusOK},
-		{"POST", "/admit", strings.Replace(admitBody, `"video"`, `"v3"`, 1), "/v2/networks/default/connections", http.StatusOK},
-		{"POST", "/v1/connections", strings.Replace(admitBody, `"video"`, `"v4"`, 1), "/v2/networks/default/connections", http.StatusOK},
-		{"POST", "/v1/admit", strings.Replace(admitBody, `"video"`, `"v5"`, 1), "/v2/networks/default/connections", http.StatusOK},
-		{"GET", "/connections", "", "/v2/networks/default/connections", http.StatusOK},
-		{"GET", "/v1/connections", "", "/v2/networks/default/connections", http.StatusOK},
-		{"POST", "/analyze", analyzeBody, "/v2/networks/default/analyze", http.StatusOK},
-		{"POST", "/v1/analyze", analyzeBody, "/v2/networks/default/analyze", http.StatusOK},
-		{"GET", "/metrics", "", "/v2/networks/default/metrics", http.StatusOK},
-		{"GET", "/v1/stats", "", "/v2/networks/default/stats", http.StatusOK},
-		{"GET", "/healthz", "", "/v2/healthz", http.StatusOK},
-		{"GET", "/v1/healthz", "", "/v2/healthz", http.StatusOK},
-		{"DELETE", "/connections/v2", "", "/v2/networks/default/connections/{name}", http.StatusOK},
-		{"DELETE", "/v1/connections/v3", "", "/v2/networks/default/connections/{name}", http.StatusOK},
+	const nw = "/v2/networks/default"
+	cases := []struct{ path, successor string }{
+		{"/v1/connections", nw + "/connections"},
+		{"/v1/admit", nw + "/connections"},
+		{"/connections", nw + "/connections"},
+		{"/admit", nw + "/connections"},
+		{"/v1/connections/video", nw + "/connections/video"},
+		{"/connections/video", nw + "/connections/video"},
+		{"/v1/batch", nw + "/batch"},
+		{"/v1/admit/batch", nw + "/batch"},
+		{"/v1/stats", nw + "/stats"},
+		{"/v1/analyze", nw + "/analyze"},
+		{"/analyze", nw + "/analyze"},
+		{"/v1/metrics", nw + "/metrics"},
+		{"/metrics", nw + "/metrics"},
+		{"/v1/healthz", "/v2/healthz"},
+		{"/healthz", "/v2/healthz"},
 	}
-	for _, c := range deprecatedSpellings {
-		w := do(t, srv, c.method, c.path, c.body)
-		if w.Code != c.want {
-			t.Errorf("%s %s: want %d, got %d %s", c.method, c.path, c.want, w.Code, w.Body)
-			continue
+	for _, c := range cases {
+		for _, method := range []string{"POST", "DELETE"} {
+			w := do(t, srv, method, c.path, admitBody)
+			if w.Code != http.StatusGone {
+				t.Errorf("%s %s: want 410, got %d %s", method, c.path, w.Code, w.Body)
+				continue
+			}
+			env := decode[errorResponse](t, w)
+			if env.Error.Code != CodeGone || !strings.Contains(env.Error.Message, c.successor) {
+				t.Errorf("%s %s: envelope %s does not name %s", method, c.path, w.Body, c.successor)
+			}
+			if got, want := w.Header().Get("Link"), "<"+c.successor+`>; rel="successor-version"`; got != want {
+				t.Errorf("%s %s: Link %q, want %q", method, c.path, got, want)
+			}
+			if dep := w.Header().Get("Deprecation"); dep != "" {
+				t.Errorf("%s %s: Deprecation header %q", method, c.path, dep)
+			}
 		}
-		if w.Header().Get("Deprecation") != "true" {
-			t.Errorf("%s %s: deprecated route missing Deprecation header", c.method, c.path)
-		}
-		link := w.Header().Get("Link")
-		if !strings.Contains(link, c.successor) || !strings.Contains(link, "successor-version") {
-			t.Errorf("%s %s: Link header %q does not point at %s", c.method, c.path, link, c.successor)
-		}
+	}
+	if n := srv.Metrics().RequestCount(epRemoved, http.StatusGone); n != uint64(2*len(cases)) {
+		t.Errorf("removed-spelling label counted %d, want %d", n, 2*len(cases))
+	}
+	if srv.State().Count() != count || srv.State().SnapshotVersion() != version {
+		t.Fatalf("removed spellings changed state: count %d -> %d, version %d -> %d",
+			count, srv.State().Count(), version, srv.State().SnapshotVersion())
 	}
 
-	// The admit-only batch's successor is the mixed-op batch, not a /v2
-	// path.
-	w = do(t, srv, "POST", "/v1/admit/batch", `{"connections": [`+connectionOf(strings.Replace(admitBody, `"video"`, `"b0"`, 1))+`]}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("/v1/admit/batch: %d %s", w.Code, w.Body)
-	}
-	if link := w.Header().Get("Link"); !strings.Contains(link, "/v1/batch") {
-		t.Errorf("/v1/admit/batch Link %q does not point at /v1/batch", link)
-	}
-
-	// Canonical /v2 routes answer without deprecation headers.
-	for _, path := range []string{
-		"/v2/networks/default/connections",
-		"/v2/networks/default/metrics",
-		"/v2/networks/default/stats",
-		"/v2/healthz",
-		"/v2/networks",
-	} {
-		w = do(t, srv, "GET", path, "")
+	// Canonical /v2 routes carry no Deprecation header either.
+	for _, path := range []string{nw + "/connections", nw + "/metrics", nw + "/stats", "/v2/healthz", "/v2/networks"} {
+		w := do(t, srv, "GET", path, "")
 		if w.Code != http.StatusOK || w.Header().Get("Deprecation") != "" {
-			t.Errorf("GET %s: canonical route deprecated itself: %d %q", path, w.Code, w.Header().Get("Deprecation"))
-		}
-	}
-}
-
-// TestLegacyRoutesShareMetricsLabel pins the cardinality contract: every
-// spelling — legacy, /v1, and the network-scoped /v2 canonical — is
-// counted under one canonical label with a literal {netid} placeholder.
-func TestLegacyRoutesShareMetricsLabel(t *testing.T) {
-	srv := newTestServer(t, nil)
-	do(t, srv, "POST", "/connections", admitBody)
-	do(t, srv, "POST", "/v1/connections", strings.Replace(admitBody, `"video"`, `"w"`, 1))
-	do(t, srv, "POST", "/v2/networks/default/connections", strings.Replace(admitBody, `"video"`, `"x"`, 1))
-	if n := srv.Metrics().RequestCount("POST /v2/networks/{netid}/connections", http.StatusOK); n != 3 {
-		t.Fatalf("canonical label count %d, want 3 (legacy + v1 + v2)", n)
-	}
-	for _, stale := range []string{"POST /connections", "POST /v1/connections", "POST /v2/networks/default/connections"} {
-		if n := srv.Metrics().RequestCount(stale, http.StatusOK); n != 0 {
-			t.Fatalf("spelling %q leaked its own metrics label (%d)", stale, n)
+			t.Errorf("GET %s: %d, Deprecation %q", path, w.Code, w.Header().Get("Deprecation"))
 		}
 	}
 }
@@ -107,18 +81,18 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		status                    int
 		code                      string
 	}{
-		{"malformed JSON", "POST", "/v1/connections", `{"connection": `, http.StatusBadRequest, CodeInvalidSpec},
-		{"unknown server", "POST", "/v1/connections",
+		{"malformed JSON", "POST", "/v2/networks/default/connections", `{"connection": `, http.StatusBadRequest, CodeInvalidSpec},
+		{"unknown server", "POST", "/v2/networks/default/connections",
 			`{"connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": ["nope"], "deadline": 5}}`,
 			http.StatusBadRequest, CodeInvalidSpec},
-		{"no deadline", "POST", "/v1/connections",
+		{"no deadline", "POST", "/v2/networks/default/connections",
 			`{"connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": ["s0"]}}`,
 			http.StatusBadRequest, CodeInvalidSpec},
-		{"unknown analyzer", "POST", "/v1/analyze",
+		{"unknown analyzer", "POST", "/v2/networks/default/analyze",
 			strings.Replace(analyzeBody, `"integrated"`, `"quantum"`, 1),
 			http.StatusBadRequest, CodeUnknownAnalyzer},
-		{"remove missing", "DELETE", "/v1/connections/ghost", "", http.StatusNotFound, CodeNotFound},
-		{"oversized body", "POST", "/v1/connections",
+		{"remove missing", "DELETE", "/v2/networks/default/connections/ghost", "", http.StatusNotFound, CodeNotFound},
+		{"oversized body", "POST", "/v2/networks/default/connections",
 			`{"connection": {"name": "` + strings.Repeat("x", 600) + `"}}`,
 			http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
 	}
@@ -143,9 +117,9 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 func TestErrorEnvelopeTimeout(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.RequestTimeout = time.Nanosecond })
 	for _, c := range []struct{ path, body string }{
-		{"/v1/analyze", analyzeBody},
-		{"/v1/connections", admitBody},
-		{"/v1/admit/batch", `{"connections": [` + connectionOf(admitBody) + `]}`},
+		{"/v2/networks/default/analyze", analyzeBody},
+		{"/v2/networks/default/connections", admitBody},
+		{"/v2/networks/default/batch", `{"operations": [{"op": "admit", "connection": ` + connectionOf(admitBody) + `}]}`},
 	} {
 		w := do(t, srv, "POST", c.path, c.body)
 		if w.Code != http.StatusServiceUnavailable {
@@ -173,7 +147,7 @@ func TestAdmitRejectionCarriesCodeAndViolations(t *testing.T) {
 	srv := newTestServer(t, nil)
 	tight := strings.Replace(admitBody, `"deadline": 20`, `"deadline": 0.001`, 1)
 	tight = strings.Replace(tight, `"access_rate": 1, `, "", 1)
-	w := do(t, srv, "POST", "/v1/connections", tight)
+	w := do(t, srv, "POST", "/v2/networks/default/connections", tight)
 	resp := decode[AdmitResponse](t, w)
 	if w.Code != http.StatusOK || resp.Admitted {
 		t.Fatalf("want clean rejection, got %d %+v", w.Code, resp)
@@ -192,75 +166,10 @@ func TestAdmitRejectionCarriesCodeAndViolations(t *testing.T) {
 	// Unstable trials carry their own code.
 	unstable := strings.Replace(admitBody, `"rho": 0.02`, `"rho": 1.5`, 1)
 	unstable = strings.Replace(unstable, `"access_rate": 1, `, "", 1)
-	w = do(t, srv, "POST", "/v1/connections", unstable)
+	w = do(t, srv, "POST", "/v2/networks/default/connections", unstable)
 	resp = decode[AdmitResponse](t, w)
 	if w.Code != http.StatusOK || resp.Admitted || resp.Code != CodeUnstable {
 		t.Fatalf("want unstable rejection, got %d %+v", w.Code, resp)
-	}
-}
-
-const batchBody = `{"connections": [
-  {"name": "b0", "sigma": 1, "rho": 0.02, "access_rate": 1, "path": ["s0", "s1"], "deadline": 20},
-  {"name": "b1", "sigma": 1, "rho": 0.02, "access_rate": 1, "path": ["s0"], "deadline": 20},
-  {"name": "tight", "sigma": 1, "rho": 0.02, "path": ["s0", "s1"], "deadline": 0.001},
-  {"name": "nodeadline", "sigma": 1, "rho": 0.02, "access_rate": 1, "path": ["s1"]}
-]}`
-
-func TestAdmitBatch(t *testing.T) {
-	srv := newTestServer(t, nil)
-	w := do(t, srv, "POST", "/v1/admit/batch", batchBody)
-	if w.Code != http.StatusOK {
-		t.Fatalf("batch: %d %s", w.Code, w.Body)
-	}
-	resp := decode[BatchAdmitResponse](t, w)
-	if resp.Admitted != 2 || resp.Rejected != 2 || resp.Count != 2 || len(resp.Results) != 4 {
-		t.Fatalf("batch outcome: %+v", resp)
-	}
-	if !resp.Results[0].Admitted || !resp.Results[1].Admitted {
-		t.Fatalf("good candidates rejected: %+v", resp.Results)
-	}
-	if r := resp.Results[2]; r.Admitted || r.Code != CodeDeadlineMissed || len(r.Violations) == 0 {
-		t.Fatalf("tight candidate: %+v", r)
-	}
-	if r := resp.Results[3]; r.Admitted || r.Code != CodeInvalidSpec || r.Reason == "" {
-		t.Fatalf("deadline-less candidate: %+v", r)
-	}
-	if srv.State().Count() != 2 {
-		t.Fatalf("state count %d, want 2", srv.State().Count())
-	}
-}
-
-func TestAdmitBatchDryRun(t *testing.T) {
-	srv := newTestServer(t, nil)
-	body := strings.TrimSuffix(batchBody, "}") + `, "dry_run": true}`
-	w := do(t, srv, "POST", "/v1/admit/batch", body)
-	resp := decode[BatchAdmitResponse](t, w)
-	if w.Code != http.StatusOK || !resp.DryRun || resp.Admitted != 2 {
-		t.Fatalf("dry-run batch: %d %+v", w.Code, resp)
-	}
-	if srv.State().Count() != 0 {
-		t.Fatalf("dry-run committed %d connections", srv.State().Count())
-	}
-}
-
-func TestAdmitBatchBadInput(t *testing.T) {
-	srv := newTestServer(t, nil)
-	cases := map[string]string{
-		"empty batch":    `{"connections": []}`,
-		"unknown server": `{"connections": [{"name": "x", "sigma": 1, "rho": 0.1, "path": ["ghost"], "deadline": 5}]}`,
-		"malformed":      `{"connections": `,
-	}
-	for label, body := range cases {
-		w := do(t, srv, "POST", "/v1/admit/batch", body)
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: want 400, got %d %s", label, w.Code, w.Body)
-		}
-		if env := decode[errorResponse](t, w); env.Error.Code != CodeInvalidSpec {
-			t.Errorf("%s: want code %q, got %s", label, CodeInvalidSpec, w.Body)
-		}
-	}
-	if srv.State().Count() != 0 {
-		t.Fatalf("bad batch mutated state: %d", srv.State().Count())
 	}
 }
 
@@ -268,9 +177,9 @@ func TestAdmitBatchBadInput(t *testing.T) {
 // canonical metrics route.
 func TestEngineMetricsExposed(t *testing.T) {
 	srv := newTestServer(t, nil)
-	do(t, srv, "POST", "/v1/connections", admitBody)
-	do(t, srv, "POST", "/v1/connections", strings.Replace(admitBody, `"video"`, `"v2"`, 1))
-	w := do(t, srv, "GET", "/v1/metrics", "")
+	do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
+	do(t, srv, "POST", "/v2/networks/default/connections", strings.Replace(admitBody, `"video"`, `"v2"`, 1))
+	w := do(t, srv, "GET", "/v2/networks/default/metrics", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", w.Code)
 	}

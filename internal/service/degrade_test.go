@@ -22,7 +22,7 @@ import (
 // decomposed analysis bit for bit.
 func TestAnalyzeDegradesToDecomposed(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
-	w := do(t, srv, "POST", "/v1/analyze", analyzeBody)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded analyze: %d %s", w.Code, w.Body)
 	}
@@ -84,7 +84,7 @@ func TestAnalyzeDegradesToDecomposed(t *testing.T) {
 func TestAnalyzeDecomposedNeverDegrades(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
 	body := strings.Replace(analyzeBody, `"integrated"`, `"decomposed"`, 1)
-	w := do(t, srv, "POST", "/v1/analyze", body)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("decomposed analyze under 1ns budget: %d %s", w.Code, w.Body)
 	}
@@ -100,12 +100,12 @@ func TestAnalyzeDecomposedNeverDegrades(t *testing.T) {
 func TestAnalyzeTimeoutOverride(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
 	bad := analyzeBody[:len(analyzeBody)-1] + `, "timeout_seconds": -1}`
-	w := do(t, srv, "POST", "/v1/analyze", bad)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", bad)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("negative timeout_seconds: want 400, got %d %s", w.Code, w.Body)
 	}
 	generous := analyzeBody[:len(analyzeBody)-1] + `, "timeout_seconds": 30}`
-	w = do(t, srv, "POST", "/v1/analyze", generous)
+	w = do(t, srv, "POST", "/v2/networks/default/analyze", generous)
 	if w.Code != http.StatusOK {
 		t.Fatalf("override analyze: %d %s", w.Code, w.Body)
 	}
@@ -119,7 +119,7 @@ func TestAnalyzeTimeoutOverride(t *testing.T) {
 // bound dominates the integrated one, so an admission it grants is safe.
 func TestAdmitDegradesToDecomposed(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
-	w := do(t, srv, "POST", "/v1/connections", admitBody)
+	w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded admit: %d %s", w.Code, w.Body)
 	}
@@ -152,22 +152,22 @@ func TestAdmitDegradesToDecomposed(t *testing.T) {
 }
 
 // TestBatchAdmitDegrades runs a batch under an instant soft budget: every
-// item is marked degraded and the committed count matches.
+// admit decision is marked degraded and the committed count matches.
 func TestBatchAdmitDegrades(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
 	conn := connectionOf(admitBody)
 	conn2 := strings.Replace(conn, `"video"`, `"audio"`, 1)
-	body := fmt.Sprintf(`{"connections": [%s, %s]}`, conn, conn2)
-	w := do(t, srv, "POST", "/v1/admit/batch", body)
+	body := fmt.Sprintf(`{"operations": [{"op": "admit", "connection": %s}, {"op": "admit", "connection": %s}]}`, conn, conn2)
+	w := do(t, srv, "POST", "/v2/networks/default/batch", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded batch: %d %s", w.Code, w.Body)
 	}
-	resp := decode[BatchAdmitResponse](t, w)
-	if resp.Admitted != 2 {
-		t.Fatalf("degraded batch admitted %d, want 2: %s", resp.Admitted, w.Body)
+	resp := decode[BatchResponse](t, w)
+	if resp.Admitted != 2 || resp.Count != 2 {
+		t.Fatalf("degraded batch admitted %d (count %d), want 2: %s", resp.Admitted, resp.Count, w.Body)
 	}
 	for i, item := range resp.Results {
-		if !item.Degraded {
+		if item.Decision == nil || !item.Decision.Degraded {
 			t.Errorf("batch item %d not marked degraded: %+v", i, item)
 		}
 	}
@@ -180,7 +180,7 @@ func TestBatchAdmitDegrades(t *testing.T) {
 func TestPanickingAnalyzerRecovered(t *testing.T) {
 	srv := newTestServer(t, nil)
 	srv.pick = func(string) (analysis.Analyzer, error) { return panicAnalyzer{}, nil }
-	w := do(t, srv, "POST", "/v1/analyze", analyzeBody)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("panic analyze: want 500, got %d %s", w.Code, w.Body)
 	}
@@ -192,7 +192,7 @@ func TestPanickingAnalyzerRecovered(t *testing.T) {
 		t.Fatalf("in-flight gauge %d after recovered panic, want 0", got)
 	}
 	// The server keeps serving afterwards.
-	if w := do(t, srv, "GET", "/v1/healthz", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, "GET", "/v2/healthz", ""); w.Code != http.StatusOK {
 		t.Fatalf("healthz after panic: %d", w.Code)
 	}
 }
@@ -216,7 +216,7 @@ func TestCancelledAnalysisNoGoroutineLeak(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := do(t, srv, "POST", "/v1/analyze", analyzeBody)
+			w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
 			if w.Code != http.StatusServiceUnavailable {
 				t.Errorf("want 503, got %d", w.Code)
 			}

@@ -146,11 +146,11 @@ func TestMethodNotAllowed(t *testing.T) {
 		method, path string
 		allow        []string
 	}{
-		{"PATCH", "/v1/connections", []string{"GET", "POST"}},
+		{"PUT", "/v2/networks/default/connections", []string{"GET", "POST"}},
 		{"PATCH", "/v2/networks/default/connections", []string{"GET", "POST"}},
 		{"GET", "/v2/networks/default/batch", []string{"POST"}},
 		{"DELETE", "/v2/networks", []string{"GET"}},
-		{"PUT", "/connections", []string{"GET", "POST"}},
+		{"POST", "/v2/networks/default/connections/x", []string{"DELETE"}},
 	} {
 		w := do(t, srv, tc.method, tc.path, "")
 		if w.Code != http.StatusMethodNotAllowed {

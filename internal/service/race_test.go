@@ -38,7 +38,7 @@ func TestMetricsParallel(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ep := fmt.Sprintf("POST /v1/ep%d", g%3)
+			ep := fmt.Sprintf("POST /v2/ep%d", g%3)
 			for i := 0; i < 200; i++ {
 				m.RequestStarted()
 				m.QueueEntered()

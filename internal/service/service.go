@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -35,8 +36,7 @@ const (
 type Config struct {
 	// Registry holds the tenant networks the server routes
 	// /v2/networks/{netid}/... requests to. When nil, the server builds a
-	// single-network registry from State and Cache under DefaultNetworkID —
-	// the single-tenant configuration every /v1 deployment ran as.
+	// single-network registry from State and Cache under DefaultNetworkID.
 	Registry *Registry
 	// State holds the live admission fabric of the default network.
 	// Required when Registry is nil; must be unset otherwise.
@@ -68,11 +68,10 @@ type Config struct {
 
 // Server is the delayd HTTP API: admission control over one or more
 // tenant fabrics plus stateless analysis with caching, instrumented with
-// per-network Metrics. Canonical endpoints are network-scoped under
-// /v2/networks/{netid}/; every /v1 spelling (and the unprefixed spellings
-// from before the API was versioned) still works as an alias for the
-// default network, answering with a Deprecation header and a
-// successor-version Link to its /v2 equivalent.
+// per-network Metrics. Every endpoint is network-scoped under
+// /v2/networks/{netid}/ (healthz and the networks listing are global under
+// /v2). The spellings from before the API settled on /v2 answer 410 gone
+// with a successor-version Link to their /v2 replacement.
 type Server struct {
 	reg        *Registry
 	log        *slog.Logger
@@ -89,56 +88,53 @@ type netHandler func(nw *Network, w http.ResponseWriter, r *http.Request)
 
 // Canonical endpoint labels. Metrics are per-network instances, so the
 // label keeps the {netid} placeholder literal: cardinality stays
-// independent of both the spelling clients use and the number of tenants.
+// independent of the number of tenants.
 const (
-	epAdmit      = "POST /v2/networks/{netid}/connections"
-	epBatch      = "POST /v2/networks/{netid}/batch"
-	epAdmitBatch = "POST /v1/admit/batch"
-	epAnalyze    = "POST /v2/networks/{netid}/analyze"
+	epAdmit   = "POST /v2/networks/{netid}/connections"
+	epBatch   = "POST /v2/networks/{netid}/batch"
+	epAnalyze = "POST /v2/networks/{netid}/analyze"
+	// epRemoved labels every request to a removed spelling, so clients
+	// still calling one show up as delayd_requests_total{code="410"}.
+	epRemoved = "removed"
 )
 
-// route is one row of the Server's registration table: a canonical
-// network-scoped suffix under /v2/networks/{netid} (or an absolute path
-// for global rows), the deprecated /v1 spelling, optional /v1-era aliases,
-// and optional pre-versioning legacy spellings. Every non-canonical
-// spelling resolves to the default network and is instrumented under the
-// canonical label, so metrics cardinality does not depend on which
-// spelling clients use.
+// route is one row of the Server's registration table. Paths containing
+// {netid} are network-scoped; the rest are global and see the default
+// network.
 type route struct {
 	method  string
-	suffix  string   // v2 path suffix; for global rows, the absolute v2 path
-	global  bool     // not network-scoped (healthz, the networks listing)
-	v1      string   // deprecated /v1 spelling ("" = v2-only)
-	aliases []string // additional deprecated /v1-era spellings
-	legacy  []string // deprecated pre-versioning spellings
-	// successor overrides the computed /v2 successor in deprecation links
-	// (the admit-only batch points at /v1/batch, its direct replacement).
-	successor string
-	handler   netHandler
+	path    string
+	handler netHandler
 }
 
 // routes is the single registration table for every endpoint.
 func (s *Server) routes() []route {
+	const nw = "/v2/networks/{netid}"
 	return []route{
-		{method: "POST", suffix: "/connections", v1: "/v1/connections", handler: s.handleAdmit,
-			aliases: []string{"/v1/admit"}, legacy: []string{"/connections", "/admit"}},
-		{method: "GET", suffix: "/connections", v1: "/v1/connections", handler: s.handleList,
-			legacy: []string{"/connections"}},
-		{method: "DELETE", suffix: "/connections/{name}", v1: "/v1/connections/{name}", handler: s.handleRemove,
-			legacy: []string{"/connections/{name}"}},
-		{method: "POST", suffix: "/batch", v1: "/v1/batch", handler: s.handleBatch},
-		// The admit-only batch predates the mixed-op batch; it stays a
-		// /v1-only spelling whose successor is the mixed-op endpoint.
-		{method: "POST", v1: "/v1/admit/batch", successor: "/v1/batch", handler: s.handleAdmitBatch},
-		{method: "GET", suffix: "/stats", v1: "/v1/stats", handler: s.handleStats},
-		{method: "POST", suffix: "/analyze", v1: "/v1/analyze", handler: s.handleAnalyze,
-			legacy: []string{"/analyze"}},
-		{method: "GET", suffix: "/metrics", v1: "/v1/metrics", handler: s.handleMetrics,
-			legacy: []string{"/metrics"}},
-		{method: "GET", suffix: "/v2/healthz", global: true, v1: "/v1/healthz", handler: s.handleHealthz,
-			legacy: []string{"/healthz"}},
-		{method: "GET", suffix: "/v2/networks", global: true, handler: s.handleNetworks},
+		{"POST", nw + "/connections", s.handleAdmit},
+		{"GET", nw + "/connections", s.handleList},
+		{"DELETE", nw + "/connections/{name}", s.handleRemove},
+		{"POST", nw + "/batch", s.handleBatch},
+		{"GET", nw + "/stats", s.handleStats},
+		{"POST", nw + "/analyze", s.handleAnalyze},
+		{"GET", nw + "/metrics", s.handleMetrics},
+		{"GET", "/v2/healthz", s.handleHealthz},
+		{"GET", "/v2/networks", s.handleNetworks},
 	}
+}
+
+// removedSpellings maps each /v2 successor to the spellings it replaced:
+// the /v1 routes, their /v1-era aliases, and the unprefixed routes from
+// before the API was versioned. Successors without a /v2 prefix are
+// suffixes under the default network.
+var removedSpellings = map[string][]string{
+	"/connections":        {"/v1/connections", "/v1/admit", "/connections", "/admit"},
+	"/connections/{name}": {"/v1/connections/{name}", "/connections/{name}"},
+	"/batch":              {"/v1/batch", "/v1/admit/batch"},
+	"/stats":              {"/v1/stats"},
+	"/analyze":            {"/v1/analyze", "/analyze"},
+	"/metrics":            {"/v1/metrics", "/metrics"},
+	"/v2/healthz":         {"/v1/healthz", "/healthz"},
 }
 
 // NewServer assembles the API around a network registry (or, for the
@@ -188,64 +184,32 @@ func NewServer(cfg Config) (*Server, error) {
 		s.maxBody = DefaultMaxBodyBytes
 	}
 
-	defID := s.reg.DefaultID()
 	s.mux = http.NewServeMux()
-	// allow collects, per exact path spelling, the method set: the input of
-	// the uniform 405 handlers registered below.
+	// allow collects each path's method set: the input of the uniform 405
+	// handlers registered below.
 	allow := make(map[string][]string)
-	addAllow := func(path, method string) {
-		for _, m := range allow[path] {
-			if m == method {
-				return
-			}
-		}
-		allow[path] = append(allow[path], method)
-	}
 	for _, rt := range s.routes() {
-		var label, v2path string
-		switch {
-		case rt.global:
-			v2path = rt.suffix
-			label = rt.method + " " + v2path
-		case rt.suffix != "":
-			v2path = "/v2/networks/{netid}" + rt.suffix
-			label = rt.method + " " + v2path
-		default: // /v1-only row
-			label = rt.method + " " + rt.v1
+		h := s.onDefault(rt.handler)
+		if strings.Contains(rt.path, "{netid}") {
+			h = s.scoped(rt.handler)
 		}
-		if v2path != "" {
-			h := s.scoped(rt.handler)
-			if rt.global {
-				h = s.onDefault(rt.handler)
-			}
-			s.mux.HandleFunc(rt.method+" "+v2path, s.instrument(label, h))
-			addAllow(v2path, rt.method)
-		}
-		successor := rt.successor
-		if successor == "" {
-			if rt.global {
-				successor = v2path
-			} else {
-				successor = "/v2/networks/" + defID + rt.suffix
-			}
-		}
-		spellings := make([]string, 0, 2+len(rt.aliases)+len(rt.legacy))
-		if rt.v1 != "" {
-			spellings = append(spellings, rt.v1)
-		}
-		spellings = append(spellings, rt.aliases...)
-		spellings = append(spellings, rt.legacy...)
-		for _, p := range spellings {
-			s.mux.HandleFunc(rt.method+" "+p,
-				s.instrument(label, deprecated(successor, s.onDefault(rt.handler))))
-			addAllow(p, rt.method)
-		}
+		s.mux.HandleFunc(rt.method+" "+rt.path, s.instrument(rt.method+" "+rt.path, h))
+		allow[rt.path] = append(allow[rt.path], rt.method)
 	}
 	// Every known path answers unsupported methods with the same 405
 	// envelope and an Allow header, instead of the mux's plain-text default.
 	for path, methods := range allow {
 		sort.Strings(methods)
 		s.mux.HandleFunc(path, methodNotAllowed(methods))
+	}
+	// Removed spellings answer 410 for every method, naming their successor.
+	for successor, paths := range removedSpellings {
+		if !strings.HasPrefix(successor, "/v2/") {
+			successor = "/v2/networks/" + s.reg.DefaultID() + successor
+		}
+		for _, p := range paths {
+			s.mux.HandleFunc(p, s.instrument(epRemoved, gone(successor)))
+		}
 	}
 	// Unknown paths answer the JSON 404 envelope.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -270,8 +234,7 @@ func (s *Server) scoped(h netHandler) http.HandlerFunc {
 	}
 }
 
-// onDefault binds a handler to the default network — the target of every
-// /v1 and legacy spelling, and of global routes.
+// onDefault binds a global route's handler to the default network.
 func (s *Server) onDefault(h netHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		h(s.reg.Default(), w, r)
@@ -290,13 +253,18 @@ func methodNotAllowed(methods []string) http.HandlerFunc {
 	}
 }
 
-// deprecated marks responses from a superseded spelling with the standard
-// Deprecation header and a successor-version link to its replacement.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
+// gone answers a removed spelling with the 410 envelope and a
+// successor-version link to its /v2 replacement, with the request's
+// {name} filled in.
+func gone(successor string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-		h(w, r)
+		to := successor
+		if name := r.PathValue("name"); name != "" {
+			to = strings.Replace(to, "{name}", url.PathEscape(name), 1)
+		}
+		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", to, "successor-version"))
+		writeError(w, http.StatusGone, CodeGone,
+			fmt.Sprintf("%s was removed; use %s", r.URL.Path, to))
 	}
 }
 
@@ -329,7 +297,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // metricsFor resolves the Metrics instance a request charges to: the
 // addressed network's when the path carries a known {netid}, the default
-// network's otherwise (v1/legacy spellings, global routes, unknown ids).
+// network's otherwise (global routes, removed spellings, unknown ids).
 func (s *Server) metricsFor(r *http.Request) *Metrics {
 	if id := r.PathValue("netid"); id != "" {
 		if nw, ok := s.reg.Get(id); ok {
@@ -391,6 +359,7 @@ const (
 	CodeNotFound         = "not_found"
 	CodeBodyTooLarge     = "body_too_large"
 	CodeStaleCursor      = "stale_cursor"
+	CodeGone             = "gone"
 	CodeInternal         = "internal"
 )
 
@@ -420,9 +389,7 @@ type errorResponse struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -741,118 +708,19 @@ func (s *Server) handleAdmit(nw *Network, w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// BatchAdmitRequest is the body of POST /v1/admit/batch: candidates are
-// tested and committed in order, each against the set as left by its
-// predecessors (greedy semantics, like repeated single admissions).
-type BatchAdmitRequest struct {
-	Connections []netspec.ConnectionSpec `json:"connections"`
-	// DryRun tests every candidate without committing any of them; each
-	// candidate is then judged against the current admitted set alone.
-	DryRun bool `json:"dry_run,omitempty"`
-	// TimeoutSeconds overrides the server's soft analysis budget for each
-	// candidate; zero keeps the server default, negative is rejected.
-	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
-}
-
-// BatchAdmitItem is one per-candidate outcome inside a batch response.
-type BatchAdmitItem struct {
+// BatchDecision is the admission decision inside an admit op's envelope.
+type BatchDecision struct {
 	Connection string          `json:"connection"`
 	Admitted   bool            `json:"admitted"`
 	Code       string          `json:"code,omitempty"`
 	Reason     string          `json:"reason,omitempty"`
 	Violations []ViolationSpec `json:"violations,omitempty"`
-	// MaxBound is the largest per-connection bound of the item's trial
+	// MaxBound is the largest per-connection bound of the op's trial
 	// analysis; null when unbounded or when the candidate never analyzed.
 	MaxBound Bound `json:"max_bound"`
 	// Degraded marks a decision made against the decomposed fallback
-	// bound after the candidate's analysis exceeded its soft budget.
+	// bound after the envelope's analysis exceeded its soft budget.
 	Degraded bool `json:"degraded,omitempty"`
-}
-
-// BatchAdmitResponse reports the whole batch: per-candidate outcomes in
-// request order plus the totals.
-type BatchAdmitResponse struct {
-	DryRun   bool             `json:"dry_run,omitempty"`
-	Admitted int              `json:"admitted"`
-	Rejected int              `json:"rejected"`
-	Results  []BatchAdmitItem `json:"results"`
-	Count    int              `json:"count"`
-}
-
-func (s *Server) handleAdmitBatch(nw *Network, w http.ResponseWriter, r *http.Request) {
-	var req BatchAdmitRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Connections) == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, "batch has no connections")
-		return
-	}
-	index, err := netspec.ServerIndex(nw.state.Servers())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
-	// Resolve every spec up front so a typo in candidate 7 fails the batch
-	// before candidate 0 is committed.
-	cands := make([]topo.Connection, len(req.Connections))
-	for i := range req.Connections {
-		cand, err := netspec.ConnectionFromSpec(&req.Connections[i], index)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("connection %d: %v", i, err))
-			return
-		}
-		cands[i] = cand
-	}
-	if req.TimeoutSeconds < 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, "timeout_seconds must be non-negative")
-		return
-	}
-	ctx := r.Context()
-	if ctx.Err() != nil {
-		s.shed(nw, w, "request deadline exceeded")
-		return
-	}
-	if !s.acquireSlot(ctx, nw) {
-		s.shed(nw, w, "no analysis slot free before the request deadline")
-		return
-	}
-	defer s.releaseSlot()
-	resp := BatchAdmitResponse{DryRun: req.DryRun, Results: make([]BatchAdmitItem, 0, len(cands))}
-	for _, cand := range cands {
-		d, degraded, err := s.runAdmission(ctx, nw, epAdmitBatch, req.DryRun, cand, req.TimeoutSeconds)
-		if err != nil && admission.IsCanceled(err) {
-			// The hard deadline passed mid-batch; nothing has been written
-			// yet, so the whole request sheds (committed prefixes stay).
-			s.shed(nw, w, fmt.Sprintf("batch deadline exceeded at connection %q", cand.Name))
-			return
-		}
-		item := BatchAdmitItem{
-			Connection: cand.Name,
-			Admitted:   d.Admitted,
-			Code:       d.Code,
-			Reason:     d.Reason,
-			Violations: toViolations(d.Violations),
-			MaxBound:   Bound(d.MaxBound()),
-			Degraded:   degraded,
-		}
-		if err != nil {
-			// A per-candidate spec error (e.g. no deadline) rejects that
-			// candidate only; the rest of the batch proceeds.
-			item.Reason = err.Error()
-			if item.Code == "" {
-				item.Code = CodeInvalidSpec
-			}
-		}
-		if item.Admitted {
-			resp.Admitted++
-		} else {
-			resp.Rejected++
-		}
-		resp.Results = append(resp.Results, item)
-	}
-	resp.Count = nw.state.Count()
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // BatchOp is one operation inside POST /v2/networks/{netid}/batch: an
@@ -895,7 +763,7 @@ type BatchOpResult struct {
 	Index    int             `json:"index"`
 	Op       string          `json:"op"`
 	Status   string          `json:"status"`
-	Decision *BatchAdmitItem `json:"decision,omitempty"`
+	Decision *BatchDecision `json:"decision,omitempty"`
 	// Mode reports how a release was absorbed: "incremental" (baseline
 	// shrunk in place) or "compacted" (baseline dropped, rebuilt lazily).
 	Mode  string       `json:"mode,omitempty"`
@@ -1008,7 +876,7 @@ func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request
 		switch op.Op {
 		case "admit":
 			d := r.Decision
-			dec := &BatchAdmitItem{
+			dec := &BatchDecision{
 				Connection: cands[i].Name,
 				Admitted:   d.Admitted,
 				Code:       d.Code,

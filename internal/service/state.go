@@ -55,8 +55,8 @@ func (s *State) Engine() *admission.ShardedEngine { return s.eng }
 func (s *State) Shards() int { return s.eng.Shards() }
 
 // ForceFull disables the incremental analysis path; every admission test
-// re-analyzes the whole trial network. Intended for startup configuration
-// (delayd -incremental=false).
+// re-analyzes the whole trial network: the full-analysis oracle for tests
+// and cmd/admit -full.
 func (s *State) ForceFull() { s.eng.ForceFull() }
 
 // Servers returns a copy of the fabric the state admits against.
