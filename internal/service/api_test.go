@@ -7,10 +7,34 @@ import (
 	"time"
 )
 
-// TestRemovedSpellingsGone sends every spelling from before the API settled
-// on /v2, with two methods each: all answer 410 gone naming the /v2
-// successor in the message and a successor-version Link, count under one
-// metrics label, and leave the admitted set untouched.
+// removedSpellingCases lists every spelling from before the API settled on
+// /v2 with the successor its 410 names ({name} filled in).
+var removedSpellingCases = []struct{ path, successor string }{
+	{"/v1/connections", "/v2/networks/default/connections"},
+	{"/v1/admit", "/v2/networks/default/connections"},
+	{"/connections", "/v2/networks/default/connections"},
+	{"/admit", "/v2/networks/default/connections"},
+	{"/v1/connections/video", "/v2/networks/default/connections/video"},
+	{"/connections/video", "/v2/networks/default/connections/video"},
+	{"/v1/batch", "/v2/networks/default/batch"},
+	{"/v1/admit/batch", "/v2/networks/default/batch"},
+	{"/v1/stats", "/v2/networks/default/stats"},
+	{"/v1/analyze", "/v2/networks/default/analyze"},
+	{"/analyze", "/v2/networks/default/analyze"},
+	{"/v1/metrics", "/v2/networks/default/metrics"},
+	{"/metrics", "/v2/networks/default/metrics"},
+	{"/v1/healthz", "/v2/healthz"},
+	{"/healthz", "/v2/healthz"},
+}
+
+// successorLink is the Link header a removed spelling answers with.
+func successorLink(successor string) string {
+	return "<" + successor + `>; rel="successor-version"`
+}
+
+// TestRemovedSpellingsGone sends every removed spelling with two methods
+// each: all answer 410 gone naming the /v2 successor in the message and a
+// successor-version Link, and leave the admitted set untouched.
 func TestRemovedSpellingsGone(t *testing.T) {
 	srv := newTestServer(t, nil)
 	if w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody); w.Code != http.StatusOK {
@@ -18,25 +42,7 @@ func TestRemovedSpellingsGone(t *testing.T) {
 	}
 	count, version := srv.State().Count(), srv.State().SnapshotVersion()
 
-	const nw = "/v2/networks/default"
-	cases := []struct{ path, successor string }{
-		{"/v1/connections", nw + "/connections"},
-		{"/v1/admit", nw + "/connections"},
-		{"/connections", nw + "/connections"},
-		{"/admit", nw + "/connections"},
-		{"/v1/connections/video", nw + "/connections/video"},
-		{"/connections/video", nw + "/connections/video"},
-		{"/v1/batch", nw + "/batch"},
-		{"/v1/admit/batch", nw + "/batch"},
-		{"/v1/stats", nw + "/stats"},
-		{"/v1/analyze", nw + "/analyze"},
-		{"/analyze", nw + "/analyze"},
-		{"/v1/metrics", nw + "/metrics"},
-		{"/metrics", nw + "/metrics"},
-		{"/v1/healthz", "/v2/healthz"},
-		{"/healthz", "/v2/healthz"},
-	}
-	for _, c := range cases {
+	for _, c := range removedSpellingCases {
 		for _, method := range []string{"POST", "DELETE"} {
 			w := do(t, srv, method, c.path, admitBody)
 			if w.Code != http.StatusGone {
@@ -47,7 +53,7 @@ func TestRemovedSpellingsGone(t *testing.T) {
 			if env.Error.Code != CodeGone || !strings.Contains(env.Error.Message, c.successor) {
 				t.Errorf("%s %s: envelope %s does not name %s", method, c.path, w.Body, c.successor)
 			}
-			if got, want := w.Header().Get("Link"), "<"+c.successor+`>; rel="successor-version"`; got != want {
+			if got, want := w.Header().Get("Link"), successorLink(c.successor); got != want {
 				t.Errorf("%s %s: Link %q, want %q", method, c.path, got, want)
 			}
 			if dep := w.Header().Get("Deprecation"); dep != "" {
@@ -55,19 +61,92 @@ func TestRemovedSpellingsGone(t *testing.T) {
 			}
 		}
 	}
-	if n := srv.Metrics().RequestCount(epRemoved, http.StatusGone); n != uint64(2*len(cases)) {
-		t.Errorf("removed-spelling label counted %d, want %d", n, 2*len(cases))
-	}
 	if srv.State().Count() != count || srv.State().SnapshotVersion() != version {
 		t.Fatalf("removed spellings changed state: count %d -> %d, version %d -> %d",
 			count, srv.State().Count(), version, srv.State().SnapshotVersion())
 	}
+}
 
-	// Canonical /v2 routes carry no Deprecation header either.
+// TestV1AliasesAndLegacyDeprecation drives each request the /v1 aliases and
+// legacy spellings used to serve: their deprecation period is over, so each
+// answers 410 without a Deprecation header, and the same request sent to
+// the Link target gets the answer the old spelling gave. Canonical /v2
+// routes stay header-free.
+func TestV1AliasesAndLegacyDeprecation(t *testing.T) {
+	srv := newTestServer(t, nil)
+	const nw = "/v2/networks/default"
+	formerlyServed := []struct {
+		method, path, body, successor string
+		want                          int
+	}{
+		{"POST", "/connections", strings.Replace(admitBody, `"video"`, `"v2"`, 1), nw + "/connections", http.StatusOK},
+		{"POST", "/admit", strings.Replace(admitBody, `"video"`, `"v3"`, 1), nw + "/connections", http.StatusOK},
+		{"POST", "/v1/connections", strings.Replace(admitBody, `"video"`, `"v4"`, 1), nw + "/connections", http.StatusOK},
+		{"POST", "/v1/admit", strings.Replace(admitBody, `"video"`, `"v5"`, 1), nw + "/connections", http.StatusOK},
+		{"GET", "/connections", "", nw + "/connections", http.StatusOK},
+		{"GET", "/v1/connections", "", nw + "/connections", http.StatusOK},
+		{"POST", "/analyze", analyzeBody, nw + "/analyze", http.StatusOK},
+		{"POST", "/v1/analyze", analyzeBody, nw + "/analyze", http.StatusOK},
+		{"GET", "/metrics", "", nw + "/metrics", http.StatusOK},
+		{"GET", "/v1/stats", "", nw + "/stats", http.StatusOK},
+		{"GET", "/healthz", "", "/v2/healthz", http.StatusOK},
+		{"GET", "/v1/healthz", "", "/v2/healthz", http.StatusOK},
+		{"DELETE", "/connections/v2", "", nw + "/connections/v2", http.StatusOK},
+		{"DELETE", "/v1/connections/v3", "", nw + "/connections/v3", http.StatusOK},
+	}
+	for _, c := range formerlyServed {
+		w := do(t, srv, c.method, c.path, c.body)
+		if w.Code != http.StatusGone {
+			t.Errorf("%s %s: want 410, got %d %s", c.method, c.path, w.Code, w.Body)
+			continue
+		}
+		if dep := w.Header().Get("Deprecation"); dep != "" {
+			t.Errorf("%s %s: removed spelling still sends Deprecation %q", c.method, c.path, dep)
+		}
+		link := w.Header().Get("Link")
+		if link != successorLink(c.successor) {
+			t.Errorf("%s %s: Link header %q does not point at %s", c.method, c.path, link, c.successor)
+			continue
+		}
+		target := strings.TrimPrefix(link[:strings.Index(link, ">")], "<")
+		if w := do(t, srv, c.method, target, c.body); w.Code != c.want {
+			t.Errorf("%s %s (successor of %s): want %d, got %d %s", c.method, target, c.path, c.want, w.Code, w.Body)
+		}
+	}
+	if n := srv.State().Count(); n != 2 {
+		t.Fatalf("successors left %d connections admitted, want 2 (v4, v5)", n)
+	}
+
+	// Canonical /v2 routes answer without deprecation headers.
 	for _, path := range []string{nw + "/connections", nw + "/metrics", nw + "/stats", "/v2/healthz", "/v2/networks"} {
 		w := do(t, srv, "GET", path, "")
 		if w.Code != http.StatusOK || w.Header().Get("Deprecation") != "" {
-			t.Errorf("GET %s: %d, Deprecation %q", path, w.Code, w.Header().Get("Deprecation"))
+			t.Errorf("GET %s: canonical route deprecated itself: %d %q", path, w.Code, w.Header().Get("Deprecation"))
+		}
+	}
+}
+
+// TestLegacyRoutesShareMetricsLabel pins the cardinality contract: every
+// removed spelling is counted under the one "removed" label, the /v2
+// canonical route under its label with a literal {netid} placeholder, and
+// no spelling leaks a label of its own.
+func TestLegacyRoutesShareMetricsLabel(t *testing.T) {
+	srv := newTestServer(t, nil)
+	for _, c := range removedSpellingCases {
+		do(t, srv, "POST", c.path, admitBody)
+	}
+	do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
+	if n := srv.Metrics().RequestCount(epRemoved, http.StatusGone); n != uint64(len(removedSpellingCases)) {
+		t.Fatalf("removed-spelling label count %d, want %d", n, len(removedSpellingCases))
+	}
+	if n := srv.Metrics().RequestCount("POST /v2/networks/{netid}/connections", http.StatusOK); n != 1 {
+		t.Fatalf("canonical label count %d, want 1", n)
+	}
+	for _, stale := range []string{"POST /connections", "POST /v1/connections", "POST /v2/networks/default/connections"} {
+		for _, code := range []int{http.StatusOK, http.StatusGone} {
+			if n := srv.Metrics().RequestCount(stale, code); n != 0 {
+				t.Fatalf("spelling %q leaked its own metrics label (%d at %d)", stale, n, code)
+			}
 		}
 	}
 }

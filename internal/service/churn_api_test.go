@@ -165,8 +165,6 @@ func TestBatchValidation(t *testing.T) {
 		{"release without name", `{"operations": [{"op": "release"}]}`},
 		{"release in dry-run", `{"operations": [{"op": "release", "name": "x"}], "dry_run": true}`},
 		{"negative timeout", fmt.Sprintf(`{"operations": [{"op": "admit", "connection": %s}], "timeout_seconds": -1}`, connBody("x"))},
-		{"unknown server", `{"operations": [{"op": "admit", "connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": ["ghost"], "deadline": 5}}]}`},
-		{"malformed JSON", `{"operations": `},
 		{"bad spec mid-batch", fmt.Sprintf(`{"operations": [{"op": "admit", "connection": %s}, {"op": "admit", "connection": {"name": "y", "path": ["nope"]}}]}`, connBody("x"))},
 	}
 	for _, tc := range cases {
@@ -183,6 +181,59 @@ func TestBatchValidation(t *testing.T) {
 	// committed.
 	if n := srv.State().Count(); n != 0 {
 		t.Fatalf("malformed batches committed %d connections", n)
+	}
+}
+
+// TestAdmitBatchBadInput sends malformed batches of admits to the /v2
+// batch endpoint: each answers 400 invalid_spec and commits nothing.
+func TestAdmitBatchBadInput(t *testing.T) {
+	srv := newTestServer(t, nil)
+	cases := map[string]string{
+		"empty batch":    `{"operations": []}`,
+		"unknown server": `{"operations": [{"op": "admit", "connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": ["ghost"], "deadline": 5}}]}`,
+		"malformed":      `{"operations": `,
+	}
+	for label, body := range cases {
+		w := do(t, srv, "POST", "/v2/networks/default/batch", body)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: want 400, got %d %s", label, w.Code, w.Body)
+		}
+		if env := decode[errorResponse](t, w); env.Error.Code != CodeInvalidSpec {
+			t.Errorf("%s: want code %q, got %s", label, CodeInvalidSpec, w.Body)
+		}
+	}
+	if srv.State().Count() != 0 {
+		t.Fatalf("bad batch mutated state: %d", srv.State().Count())
+	}
+}
+
+// TestAdmitBatchDeprecatedAlias sends a valid admit-only batch to the
+// removed POST /v1/admit/batch: it answers 410 with a Link to the /v2
+// mixed-op batch and admits nothing, and the same connection sent there as
+// an admit op is admitted.
+func TestAdmitBatchDeprecatedAlias(t *testing.T) {
+	srv := newTestServer(t, nil)
+	w := do(t, srv, "POST", "/v1/admit/batch", fmt.Sprintf(`{"connections": [%s]}`, connBody("legacy")))
+	if w.Code != http.StatusGone {
+		t.Fatalf("admit/batch: want 410, got %d %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get("Deprecation"); got != "" {
+		t.Errorf("Deprecation header %q on a removed route", got)
+	}
+	if got := w.Header().Get("Link"); got != `</v2/networks/default/batch>; rel="successor-version"` {
+		t.Errorf("Link header %q does not point at /v2/networks/default/batch", got)
+	}
+	if env := decode[errorResponse](t, w); env.Error.Code != CodeGone {
+		t.Errorf("want code %q, got %s", CodeGone, w.Body)
+	}
+	if n := srv.State().Count(); n != 0 {
+		t.Fatalf("removed route admitted %d connections", n)
+	}
+	w = do(t, srv, "POST", "/v2/networks/default/batch",
+		fmt.Sprintf(`{"operations": [{"op": "admit", "connection": %s}]}`, connBody("legacy")))
+	resp := decode[BatchResponse](t, w)
+	if w.Code != http.StatusOK || resp.Admitted != 1 || resp.Count != 1 {
+		t.Fatalf("successor batch: %d %+v", w.Code, resp)
 	}
 }
 

@@ -760,9 +760,9 @@ const (
 // decision (admit ops) or the release mode (release ops) or an error
 // detail.
 type BatchOpResult struct {
-	Index    int             `json:"index"`
-	Op       string          `json:"op"`
-	Status   string          `json:"status"`
+	Index    int            `json:"index"`
+	Op       string         `json:"op"`
+	Status   string         `json:"status"`
 	Decision *BatchDecision `json:"decision,omitempty"`
 	// Mode reports how a release was absorbed: "incremental" (baseline
 	// shrunk in place) or "compacted" (baseline dropped, rebuilt lazily).
