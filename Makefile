@@ -6,7 +6,7 @@ GO ?= go
 # upward (cross-machine variance); local runs use the strict default.
 BENCH_TOLERANCE ?= 1.3
 
-.PHONY: all build test race bench bench-admit bench-release bench-service bench-batch bench-shards bench-curves bench-fabric bench-gate profile-curves cover figures fuzz run-delayd falsify falsify-smoke help clean
+.PHONY: all build test race bench bench-admit bench-release bench-service bench-batch bench-blocks bench-curves bench-fabric bench-gate profile-curves cover figures fuzz run-delayd falsify falsify-smoke help clean
 
 all: build test
 
@@ -20,7 +20,7 @@ help:
 	@echo "  bench-release  incremental vs invalidating release benchmark"
 	@echo "  bench-service  churn + open-loop sweep + batch comparison -> BENCH_service.json"
 	@echo "  bench-batch    batched-vs-sequential gate (>=3x p50), diffed against BENCH_service.json"
-	@echo "  bench-shards   shard-scaling sweep at 1/2/4/8 shards -> BENCH_shards.json"
+	@echo "  bench-blocks   block-pinned churn over an 8-block fabric -> BENCH_blocks.json"
 	@echo "  bench-curves   curve-engine benchmarks -> BENCH_curves.json"
 	@echo "  bench-fabric   10k-switch fat-tree analysis benchmark"
 	@echo "  bench-gate     re-run curve benchmarks, fail past $(BENCH_TOLERANCE)x the committed snapshot"
@@ -84,16 +84,16 @@ bench-batch:
 	$(GO) run ./cmd/benchjson -diff BENCH_service.json -tolerance $(BENCH_TOLERANCE) \
 		< /tmp/bench_batch.json > /dev/null
 
-# Shard-scaling benchmark (docs/SERVICE.md): the same closed-loop churn at
-# 1/2/4/8 engine shards over an 8-block disjoint fabric, every worker
-# pinned inside one block and 200 connections per block prefilled so the
-# standing-state costs the sharding removes are present from the first
-# operation. Emits BENCH_shards.json (committed per PR) and fails when
-# 4 shards deliver less than 2x the 1-shard throughput.
-bench-shards:
-	$(GO) run ./cmd/delayload -shards 1,2,4,8 -duration 5s -concurrency 8 \
-		-blocks 8 -block-switches 3 -prefill 200 -rho 0.0001 -deadline 2000 \
-		-seed 1 -out BENCH_shards.json -gate-scaling 2
+# Commit-domain benchmark (docs/SERVICE.md): the closed-loop churn over an
+# 8-block disjoint fabric, every worker pinned inside its own block and 200
+# connections per block prefilled, so each operation runs against standing
+# state in seven other components. Emits BENCH_blocks.json (committed); CI
+# diffs a fresh run against it with benchjson, failing on any commit
+# conflict (disjoint components never conflict) or on throughput below the
+# committed value divided by the tolerance.
+bench-blocks:
+	$(GO) run ./cmd/delayload -blocks 8 -block-switches 3 -prefill 200 -duration 5s -concurrency 8 \
+		-rho 0.0001 -deadline 2000 -seed 1 -out BENCH_blocks.json
 
 # Curve-engine benchmarks (docs/PERFORMANCE.md): k-way aggregation vs the
 # pairwise fold, gated convolution, the end-to-end integrated analysis on

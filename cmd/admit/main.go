@@ -6,7 +6,7 @@
 // Usage:
 //
 //	admit [-servers 4] [-deadline 14] [-sigma 1] [-rho 0.02] [-limit 200] [-full]
-//	      [-timeout 0] [-shards 1]
+//	      [-timeout 0]
 //
 // The greedy fill runs through the same incremental admission engine the
 // delayd daemon serves (docs/INCREMENTAL.md): each admission extends the
@@ -42,7 +42,6 @@ func main() {
 		limit    = flag.Int("limit", 200, "admission attempts")
 		full     = flag.Bool("full", false, "disable incremental analysis (full re-analysis per test)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per analyzer's greedy fill (0 = unlimited)")
-		shards   = flag.Int("shards", 1, "engine shards (a tandem is one component, so >1 only helps on disjoint fabrics)")
 	)
 	flag.Parse()
 
@@ -66,7 +65,7 @@ func main() {
 	// service.State is the same admission code path the delayd daemon
 	// serves, so CLI numbers and server decisions cannot diverge.
 	for _, a := range []analysis.Analyzer{analysis.Decomposed{}, analysis.ServiceCurve{}, analysis.Integrated{}} {
-		state, err := service.NewStateShards(servers, a, *shards)
+		state, err := service.NewState(servers, a)
 		if err != nil {
 			fatal(err)
 		}

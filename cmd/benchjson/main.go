@@ -23,19 +23,14 @@
 // snapshot does).
 //
 // When the -diff snapshot is a JSON object rather than an array, it is
-// treated as a delayload service report (BENCH_service.json) and stdin
-// must be a fresh report from the same tool; the per-operation p99_ms
-// latencies are compared under the same tolerance:
+// treated as a delayload report (BENCH_service.json, BENCH_blocks.json)
+// and stdin must be a fresh report from the same tool. The per-operation
+// p99_ms latencies are compared under the same tolerance, a block-fabric
+// snapshot's closed-loop throughput regresses when the fresh run falls
+// below it divided by the tolerance, and a snapshot's conflicts_per_commit
+// is a bound the fresh run must not exceed:
 //
 //	delayload -self 8 ... -out /dev/stdout | benchjson -diff BENCH_service.json
-//
-// An object snapshot with a top-level "runs" key is a delayload
-// shard-scaling report (BENCH_shards.json): the per-shard-count ops/sec
-// throughputs and the overall scaling factor are compared instead, and a
-// run counts as regressed when its throughput (or the scaling factor)
-// falls below the snapshot value divided by the tolerance:
-//
-//	delayload -shards 1,2,4,8 ... -out /dev/stdout | benchjson -diff BENCH_shards.json
 package main
 
 import (
@@ -45,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -150,7 +146,10 @@ func diff(current, snapshot []result, tolerance float64) bool {
 // skipped, never failed — reports grow sections over time and a snapshot
 // predating one must not block the build that introduces it.
 type serviceReport struct {
-	Ops map[string]struct {
+	Blocks             int      `json:"blocks"`
+	Throughput         float64  `json:"ops_per_sec"`
+	ConflictsPerCommit *float64 `json:"conflicts_per_commit"`
+	Ops                map[string]struct {
 		P99 float64 `json:"p99_ms"`
 	} `json:"ops"`
 	OpenLoop *struct {
@@ -167,7 +166,9 @@ type serviceReport struct {
 
 // diffService compares two delayload reports: per-operation and per-rate
 // open-loop p99 latencies regress upward (current > snapshot x tolerance),
-// the batch speedup regresses downward (current < snapshot / tolerance).
+// the batch speedup and a block-fabric run's closed-loop throughput
+// regress downward (current < snapshot / tolerance), and conflicts per
+// commit regress when they exceed the snapshot's value at all.
 func diffService(current, snapshot []byte, tolerance float64) (bool, error) {
 	var cur, base serviceReport
 	if err := json.Unmarshal(current, &cur); err != nil {
@@ -176,12 +177,34 @@ func diffService(current, snapshot []byte, tolerance float64) (bool, error) {
 	if err := json.Unmarshal(snapshot, &base); err != nil {
 		return false, fmt.Errorf("snapshot service report: %w", err)
 	}
+	regressed := false
+	if base.Blocks > 0 && base.Throughput > 0 {
+		status := "ok"
+		if cur.Throughput < base.Throughput/tolerance {
+			status = "REGRESSED"
+			regressed = true
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: throughput %8.0f -> %8.0f ops/s (%.2fx) %s\n",
+			base.Throughput, cur.Throughput, cur.Throughput/base.Throughput, status)
+	}
+	if base.ConflictsPerCommit != nil {
+		c := math.NaN()
+		if cur.ConflictsPerCommit != nil {
+			c = *cur.ConflictsPerCommit
+		}
+		status := "ok"
+		if !(c <= *base.ConflictsPerCommit) {
+			status = "REGRESSED"
+			regressed = true
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: conflicts/commit %.4f (bound %.4f) %s\n",
+			c, *base.ConflictsPerCommit, status)
+	}
 	names := make([]string, 0, len(cur.Ops))
 	for name := range cur.Ops {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	regressed := false
 	for _, name := range names {
 		b, ok := base.Ops[name]
 		if !ok {
@@ -238,62 +261,6 @@ func diffService(current, snapshot []byte, tolerance float64) (bool, error) {
 	return regressed, nil
 }
 
-// shardsReport is the slice of a delayload shard-scaling report the
-// scaling diff reads; the "runs" key is what selects this mode.
-type shardsReport struct {
-	Runs []struct {
-		Shards     int     `json:"shards"`
-		Throughput float64 `json:"ops_per_sec"`
-	} `json:"runs"`
-	ScalingFactor float64 `json:"scaling_factor"`
-}
-
-// diffShards compares per-shard-count throughput and the scaling factor of
-// two shard-scaling reports. Throughput regresses downward, so the test is
-// current < snapshot / tolerance.
-func diffShards(current, snapshot []byte, tolerance float64) (bool, error) {
-	var cur, base shardsReport
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return false, fmt.Errorf("current shards report: %w", err)
-	}
-	if err := json.Unmarshal(snapshot, &base); err != nil {
-		return false, fmt.Errorf("snapshot shards report: %w", err)
-	}
-	baseBy := make(map[int]float64, len(base.Runs))
-	for _, r := range base.Runs {
-		baseBy[r.Shards] = r.Throughput
-	}
-	regressed := false
-	for _, r := range cur.Runs {
-		b, ok := baseBy[r.Shards]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: shards=%-3d NEW (no snapshot entry)\n", r.Shards)
-			continue
-		}
-		if b <= 0 || r.Throughput <= 0 {
-			continue
-		}
-		ratio := r.Throughput / b
-		status := "ok"
-		if r.Throughput < b/tolerance {
-			status = "REGRESSED"
-			regressed = true
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: shards=%-3d %8.0f -> %8.0f ops/s (%.2fx) %s\n",
-			r.Shards, b, r.Throughput, ratio, status)
-	}
-	if base.ScalingFactor > 0 && cur.ScalingFactor > 0 {
-		status := "ok"
-		if cur.ScalingFactor < base.ScalingFactor/tolerance {
-			status = "REGRESSED"
-			regressed = true
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: scaling factor %.2fx -> %.2fx %s\n",
-			base.ScalingFactor, cur.ScalingFactor, status)
-	}
-	return regressed, nil
-}
-
 func main() {
 	diffPath := flag.String("diff", "", "compare parsed results against this committed snapshot; exit 2 on ns/op regressions")
 	tolerance := flag.Float64("tolerance", 1.3, "with -diff, the allowed ns/op slowdown factor before a benchmark counts as regressed")
@@ -309,25 +276,15 @@ func main() {
 		}
 	}
 
-	// An object-shaped snapshot is a delayload report: a "runs" key makes
-	// it a shard-scaling report (diff throughputs), otherwise it is a
-	// service report (diff p99s). Either way the current report echoes
-	// through unchanged.
+	// An object-shaped snapshot is a delayload report; the current report
+	// echoes through unchanged.
 	if trimmed := bytes.TrimSpace(snapshot); len(trimmed) > 0 && trimmed[0] == '{' {
 		current, err := io.ReadAll(os.Stdin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		var probe struct {
-			Runs json.RawMessage `json:"runs"`
-		}
-		var regressed bool
-		if json.Unmarshal(snapshot, &probe) == nil && len(probe.Runs) > 0 {
-			regressed, err = diffShards(current, snapshot, *tolerance)
-		} else {
-			regressed, err = diffService(current, snapshot, *tolerance)
-		}
+		regressed, err := diffService(current, snapshot, *tolerance)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)

@@ -7,15 +7,15 @@
 // Usage:
 //
 //	delayd [-addr :8080] [-algo integrated] (-spec net.json | -tandem 4 [-load 0.5])
-//	       [-shards 1] [-network id=spec.json ...]
+//	       [-network id=spec.json ...]
 //	       [-cache 256] [-timeout 10s] [-analyze-timeout 5s] [-max-inflight 64]
 //	       [-max-body 1048576] [-shutdown-grace 10s] [-pprof]
 //
 // The daemon serves one or more independent admission fabrics ("networks").
 // -spec/-tandem define the default network; each repeatable -network flag
 // registers an extra tenant with its own fabric, engine, cache, and
-// metrics. -shards partitions every network's engine by independent
-// subnetwork so disjoint workloads commit without contending.
+// metrics. Every network's engine commits per independent component, so
+// workloads on disjoint subnetworks commit without contending.
 //
 // Endpoints are network-scoped under /v2 (see docs/SERVICE.md for the full
 // reference; the removed /v1 and unprefixed spellings answer 410 gone with
@@ -97,7 +97,6 @@ func main() {
 		inflight = flag.Int("max-inflight", service.DefaultMaxInFlight, "maximum concurrently running analyses (negative disables the bound)")
 		maxBody  = flag.Int64("max-body", service.DefaultMaxBodyBytes, "maximum request body bytes")
 		grace    = flag.Duration("shutdown-grace", 10*time.Second, "drain window after SIGINT/SIGTERM")
-		shards   = flag.Int("shards", 1, "engine shards per network (disjoint subnetworks commit independently)")
 		profile  = flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 		verbose  = flag.Bool("v", false, "debug-level logging")
 	)
@@ -111,18 +110,18 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if err := run(logger, *addr, *specPath, *tandem, *load, *algo, *cacheSz, *timeout, *analyzeT, *inflight, *maxBody, *grace, *shards, extraNets, *profile); err != nil {
+	if err := run(logger, *addr, *specPath, *tandem, *load, *algo, *cacheSz, *timeout, *analyzeT, *inflight, *maxBody, *grace, extraNets, *profile); err != nil {
 		logger.Error("delayd exiting", "err", err)
 		os.Exit(1)
 	}
 }
 
-// buildState loads a fabric, constructs its sharded admission state,
+// buildState loads a fabric, constructs its admission state,
 // pre-admits the spec's deadline-bearing connections, and warms the
 // analysis baselines. Every network — default or tenant — boots through
 // this one path.
 func buildState(logger *slog.Logger, id, specPath string, tandem int, load float64,
-	algo string, shards int) (*service.State, int, error) {
+	algo string) (*service.State, int, error) {
 
 	analyzer, err := service.PickAnalyzer(algo)
 	if err != nil {
@@ -132,7 +131,7 @@ func buildState(logger *slog.Logger, id, specPath string, tandem int, load float
 	if err != nil {
 		return nil, 0, err
 	}
-	state, err := service.NewStateShards(net.Servers, analyzer, shards)
+	state, err := service.NewState(net.Servers, analyzer)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -156,7 +155,7 @@ func buildState(logger *slog.Logger, id, specPath string, tandem int, load float
 			logger.Info("pre-admitted", "network", id, "connection", conn.Name)
 		}
 	}
-	// Warm the analysis baseline before serving so the first admission test
+	// Warm the analysis baselines before serving so the first admission test
 	// (and the first release) runs incrementally instead of paying the full
 	// analysis inline.
 	if err := state.WarmBaseline(); err != nil {
@@ -167,10 +166,10 @@ func buildState(logger *slog.Logger, id, specPath string, tandem int, load float
 
 func run(logger *slog.Logger, addr, specPath string, tandem int, load float64, algo string,
 	cacheSz int, timeout, analyzeTimeout time.Duration, maxInFlight int, maxBody int64,
-	grace time.Duration, shards int, extraNets networkFlags, profile bool) error {
+	grace time.Duration, extraNets networkFlags, profile bool) error {
 
 	reg := service.NewRegistry()
-	state, nServers, err := buildState(logger, service.DefaultNetworkID, specPath, tandem, load, algo, shards)
+	state, nServers, err := buildState(logger, service.DefaultNetworkID, specPath, tandem, load, algo)
 	if err != nil {
 		return err
 	}
@@ -179,7 +178,7 @@ func run(logger *slog.Logger, addr, specPath string, tandem int, load float64, a
 	}
 	for _, nf := range extraNets {
 		id, spec, _ := strings.Cut(nf, "=")
-		st, n, err := buildState(logger, id, spec, 0, load, algo, shards)
+		st, n, err := buildState(logger, id, spec, 0, load, algo)
 		if err != nil {
 			return err
 		}
@@ -236,7 +235,7 @@ func run(logger *slog.Logger, addr, specPath string, tandem int, load float64, a
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("delayd listening", "addr", addr, "algo", algo,
-			"incremental", state.Engine().Incremental(), "shards", state.Shards(),
+			"incremental", state.Engine().Incremental(), "components", state.Engine().Snapshot().Components(),
 			"networks", reg.Len(), "servers", nServers, "admitted", state.Count())
 		errc <- srv.ListenAndServe()
 	}()

@@ -2,8 +2,8 @@
 // API. It drives a live daemon (or in-process ones it starts itself) with a
 // mix of admit, release, and mixed-batch operations, measures per-operation
 // latency and throughput, and writes the percentile summary to a JSON
-// report — the service-level benchmark committed per PR as
-// BENCH_service.json (or, with -shards, BENCH_shards.json).
+// report — the service-level benchmark committed as BENCH_service.json
+// (and, over the block fabric, BENCH_blocks.json).
 //
 // Usage:
 //
@@ -13,16 +13,19 @@
 //	          [-open-rates 100,200,400 [-open-duration 3s]]
 //	          [-batch-compare 32 [-batch-trials 20]]
 //	          [-gate-release-factor 0] [-gate-batch 0]
-//
-//	delayload -shards 1,2,4,8 [-blocks 8] [-block-switches 3] [-prefill 0] ...
-//	          [-out BENCH_shards.json] [-gate-scaling 0]
+//	          [-blocks 0 [-block-switches 3]] [-prefill 0]
 //
 // With -target, delayload aims at a running delayd and -servers must name
 // the fabric servers in path order (generated connections take random
 // contiguous sub-paths). Without -target, every phase starts a fresh
-// in-process delayd over a -self N-server tandem on a loopback listener,
-// so no phase inherits another's admitted set. Operations go through the
-// network-scoped /v2 API of the -network tenant.
+// in-process delayd on a loopback listener, so no phase inherits another's
+// admitted set: over a -self N-server tandem, or with -blocks B over B
+// disjoint -block-switches tandems (topo.DisjointBlocks), one independent
+// component each, with closed-loop worker i pinned inside block i mod B.
+// -prefill admits that many connections per block (the tandem is one
+// block) before the timed window, so standing state is present from the
+// first measured operation. Operations go through the network-scoped /v2
+// API of the -network tenant.
 //
 // Every phase is one scenario (scenario.go): an op source run under an
 // arrival policy, with each op's latency timed from its scheduled send
@@ -41,18 +44,18 @@
 //     sequential admissions with one batch-of-N envelope of the same
 //     candidates, plus the engine's own counters proving each envelope
 //     committed exactly one snapshot. The "batch_bench" section.
-//   - the shard sweep (-shards): the closed loop repeated once per shard
-//     count against a fresh daemon over a -blocks disjoint-block fabric
-//     (topo.DisjointBlocks) partitioned into that many shards, with every
-//     worker pinned inside one block and -prefill connections admitted per
-//     block first. All runs land under the report's top-level "runs" key.
+//
+// The report also records the daemon's commit conflicts per commit over
+// the closed-loop window: zero when every worker owns its block, because
+// the engine commits per independent component.
 //
 // Gates (exit status 1): any transport error or non-200 reply; a batch
 // envelope averaging other than one commit; release p99 > admit p99 x
 // -gate-release-factor; sequential p50 / batch p50 < -gate-batch (the
 // median is gated, not the p99: a single-ms envelope's p99 is dominated by
-// scheduler and GC noise); throughput at 4 shards (or the largest count)
-// < 1-shard throughput x -gate-scaling. A zero factor disables its gate.
+// scheduler and GC noise). A zero factor disables its gate. Throughput and
+// conflict regressions against a committed report are benchjson -diff's
+// job.
 package main
 
 import (
@@ -68,6 +71,7 @@ import (
 	"time"
 
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/server"
 	"delaycalc/internal/service"
 	"delaycalc/internal/topo"
 )
@@ -88,12 +92,9 @@ func main() {
 	flag.StringVar(&cfg.out, "out", "BENCH_service.json", "report path (empty: stdout only)")
 	flag.Float64Var(&cfg.gateReleaseFactor, "gate-release-factor", 0,
 		"fail when release p99 > admit p99 x this factor (0 disables the gate)")
-	flag.StringVar(&cfg.shards, "shards", "", "comma-separated shard counts: run the shard-scaling sweep instead of a single load run")
-	flag.IntVar(&cfg.blocks, "blocks", 8, "disjoint fabric blocks in the sweep fabric (with -shards)")
-	flag.IntVar(&cfg.blockSwitches, "block-switches", 3, "tandem switches per block (with -shards)")
-	flag.IntVar(&cfg.prefill, "prefill", 0, "connections admitted per block before the timed window (with -shards)")
-	flag.Float64Var(&cfg.gateScaling, "gate-scaling", 0,
-		"fail when throughput at 4 (or max) shards < 1-shard throughput x this factor (0 disables the gate)")
+	flag.IntVar(&cfg.blocks, "blocks", 0, "in-process fabric of this many disjoint tandem blocks instead of the -self tandem, workers pinned per block (0: tandem)")
+	flag.IntVar(&cfg.blockSwitches, "block-switches", 3, "tandem switches per block (with -blocks)")
+	flag.IntVar(&cfg.prefill, "prefill", 0, "connections admitted per block before the timed window")
 	flag.StringVar(&cfg.openRates, "open-rates", "",
 		"comma-separated Poisson arrival rates (ops/sec): run an open-loop sweep after the closed loop")
 	flag.DurationVar(&cfg.openDuration, "open-duration", 0, "open-loop window per rate point (0: use -duration)")
@@ -104,16 +105,7 @@ func main() {
 		"fail when sequential p50 / batch p50 < this factor (0 disables the gate)")
 	flag.Parse()
 
-	runner := run
-	if cfg.shards != "" {
-		runner = runShardSweep
-		outSet := false
-		flag.Visit(func(f *flag.Flag) { outSet = outSet || f.Name == "out" })
-		if !outSet {
-			cfg.out = "BENCH_shards.json"
-		}
-	}
-	if err := runner(&cfg, os.Stdout); err != nil {
+	if err := run(&cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "delayload:", err)
 		os.Exit(1)
 	}
@@ -132,12 +124,10 @@ type config struct {
 	out               string
 	gateReleaseFactor float64
 
-	// Shard-scaling sweep (-shards).
-	shards        string
+	// Block fabric (-blocks) and standing state (-prefill).
 	blocks        int
 	blockSwitches int
 	prefill       int
-	gateScaling   float64
 
 	// Open-loop sweep (-open-rates) and batch comparison (-batch-compare).
 	openRates    string
@@ -172,6 +162,16 @@ type report struct {
 	TotalOps    int                `json:"total_ops"`
 	Throughput  float64            `json:"ops_per_sec"`
 	Ops         map[string]opStats `json:"ops"`
+	// Blocks, BlockSwitches and Prefill describe the fabric (0 blocks: the
+	// -self or -target tandem).
+	Blocks        int `json:"blocks,omitempty"`
+	BlockSwitches int `json:"block_switches,omitempty"`
+	Prefill       int `json:"prefill,omitempty"`
+	// CommitConflicts and Commits are the daemon's counters over the
+	// closed-loop window; ConflictsPerCommit is their ratio.
+	CommitConflicts    uint64  `json:"commit_conflicts"`
+	Commits            uint64  `json:"commits"`
+	ConflictsPerCommit float64 `json:"conflicts_per_commit"`
 	// EngineStats is the daemon's network-scoped stats document after the run.
 	EngineStats json.RawMessage   `json:"engine_stats,omitempty"`
 	OpenLoop    *openLoopReport   `json:"open_loop,omitempty"`
@@ -220,33 +220,6 @@ type batchBenchReport struct {
 	Envelopes          uint64  `json:"envelopes"`
 	Commits            uint64  `json:"commits"`
 	CommitsPerEnvelope float64 `json:"commits_per_envelope"`
-}
-
-// shardRun is one sweep measurement in the BENCH_shards.json report.
-type shardRun struct {
-	Shards            int                `json:"shards"`
-	Duration          float64            `json:"duration_seconds"`
-	TotalOps          int                `json:"total_ops"`
-	Throughput        float64            `json:"ops_per_sec"`
-	CrossShardCommits uint64             `json:"cross_shard_commits"`
-	CommitConflicts   uint64             `json:"commit_conflicts"`
-	Ops               map[string]opStats `json:"ops"`
-}
-
-// shardReport is the BENCH_shards.json schema. The top-level "runs" key is
-// what benchjson keys its scaling diff mode on.
-type shardReport struct {
-	Blocks        int        `json:"blocks"`
-	BlockSwitches int        `json:"block_switches"`
-	Prefill       int        `json:"prefill,omitempty"`
-	Duration      float64    `json:"duration_seconds"`
-	Concurrency   int        `json:"concurrency"`
-	Mix           string     `json:"mix"`
-	Seed          int64      `json:"seed"`
-	Runs          []shardRun `json:"runs"`
-	ScalingFrom   int        `json:"scaling_from_shards"`
-	ScalingTo     int        `json:"scaling_to_shards"`
-	ScalingFactor float64    `json:"scaling_factor"`
 }
 
 // percentile returns the q-quantile (0 < q <= 1) of sorted samples.
@@ -363,11 +336,16 @@ func validate(cfg *config) ([3]int, error) {
 }
 
 // fabric resolves the daemon the run drives: the fabric server names in
-// path order and a connect function returning a client plus its shutdown.
+// path order, the blocks closed-loop lanes are pinned to (one block for a
+// tandem), and a connect function returning a client plus its shutdown.
 // With -target every phase connects to that daemon; without it each call
-// starts a fresh in-process daemon over the -self tandem.
-func fabric(cfg *config) ([]string, func() (*daemon, func(), error), error) {
+// starts a fresh in-process daemon over the -self tandem or the -blocks
+// fabric.
+func fabric(cfg *config) ([]string, [][]string, func() (*daemon, func(), error), error) {
 	if cfg.target != "" {
+		if cfg.blocks > 0 {
+			return nil, nil, nil, fmt.Errorf("-blocks builds an in-process fabric and cannot be combined with -target")
+		}
 		var names []string
 		for _, n := range strings.Split(cfg.servers, ",") {
 			if n = strings.TrimSpace(n); n != "" {
@@ -375,24 +353,40 @@ func fabric(cfg *config) ([]string, func() (*daemon, func(), error), error) {
 			}
 		}
 		if len(names) == 0 {
-			return nil, nil, fmt.Errorf("-target requires -servers with the fabric server names in path order")
+			return nil, nil, nil, fmt.Errorf("-target requires -servers with the fabric server names in path order")
 		}
 		d := newDaemon(cfg.target, cfg.network)
-		return names, func() (*daemon, func(), error) { return d, func() {}, nil }, nil
-	}
-	if cfg.self < 1 {
-		return nil, nil, fmt.Errorf("-self must be at least 1 without -target")
+		return names, [][]string{names}, func() (*daemon, func(), error) { return d, func() {}, nil }, nil
 	}
 	analyzer, err := pickAnalyzer(cfg.analyzer)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	servers := tandem(cfg.self)
+	var servers []server.Server
+	switch {
+	case cfg.blocks > 0:
+		net, err := topo.DisjointBlocks(cfg.blocks, cfg.blockSwitches, 0.5)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		servers = net.Servers
+	case cfg.self >= 1:
+		servers = tandem(cfg.self)
+	default:
+		return nil, nil, nil, fmt.Errorf("-self must be at least 1 without -target")
+	}
 	names := make([]string, len(servers))
 	for i, s := range servers {
 		names[i] = s.Name
 	}
-	return names, func() (*daemon, func(), error) { return selfServe(servers, analyzer, 1) }, nil
+	blocks := [][]string{names}
+	if cfg.blocks > 0 {
+		blocks = make([][]string, cfg.blocks)
+		for i := range blocks {
+			blocks[i] = names[i*cfg.blockSwitches : (i+1)*cfg.blockSwitches]
+		}
+	}
+	return names, blocks, func() (*daemon, func(), error) { return selfServe(servers, analyzer) }, nil
 }
 
 func run(cfg *config, out io.Writer) error {
@@ -400,7 +394,7 @@ func run(cfg *config, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	names, connect, err := fabric(cfg)
+	names, blocks, connect, err := fabric(cfg)
 	if err != nil {
 		return err
 	}
@@ -418,8 +412,17 @@ func run(cfg *config, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res := execute(d, policy{workers: cfg.concurrency, window: cfg.duration},
-		newChurn("ld", mix, cfg, cfg.concurrency, cfg.seed, func(int) []string { return names }).next)
+	src := newChurn("ld", mix, cfg, cfg.concurrency, cfg.seed, func(i int) []string { return blocks[i%len(blocks)] })
+	if err := src.prefill(d, blocks, cfg.prefill); err != nil {
+		shutdown()
+		return fmt.Errorf("prefill: %w", err)
+	}
+	var before, after service.StatsResponse
+	if err := d.call("GET", "/stats", nil, &before); err != nil {
+		shutdown()
+		return err
+	}
+	res := execute(d, policy{workers: cfg.concurrency, window: cfg.duration}, src.next)
 	rep := &report{
 		Target:      d.host,
 		Network:     cfg.network,
@@ -427,14 +430,30 @@ func run(cfg *config, out io.Writer) error {
 		Concurrency: cfg.concurrency,
 		Mix:         cfg.mix,
 		Seed:        cfg.seed,
+		Blocks:      cfg.blocks,
+		Prefill:     cfg.prefill,
 		BatchBench:  batchBench,
+	}
+	if cfg.blocks > 0 {
+		rep.BlockSwitches = cfg.blockSwitches
 	}
 	rep.Ops, rep.TotalOps = res.summarize()
 	rep.Throughput = float64(rep.TotalOps) / res.elapsed.Seconds()
 	// The daemon's own counters record how much of the churn ran
-	// incrementally (and, sharded, how it spread).
-	_ = d.call("GET", "/stats", nil, &rep.EngineStats)
+	// incrementally and how often commits collided.
+	err = d.call("GET", "/stats", nil, &rep.EngineStats)
+	if err == nil {
+		err = json.Unmarshal(rep.EngineStats, &after)
+	}
 	shutdown()
+	if err != nil {
+		return err
+	}
+	rep.CommitConflicts = after.CommitConflicts - before.CommitConflicts
+	rep.Commits = after.SnapshotVersion - before.SnapshotVersion
+	if rep.Commits > 0 {
+		rep.ConflictsPerCommit = float64(rep.CommitConflicts) / float64(rep.Commits)
+	}
 	res.logLastError()
 	if cfg.openRates != "" {
 		if rep.OpenLoop, err = runOpenLoopSweep(cfg, mix, names, connect, out); err != nil {
@@ -447,8 +466,8 @@ func run(cfg *config, out io.Writer) error {
 		classes = append(classes, class)
 	}
 	sort.Strings(classes)
-	fmt.Fprintf(out, "delayload: %d ops in %.1fs (%.0f ops/s) against %s\n",
-		rep.TotalOps, rep.Duration, rep.Throughput, rep.Target)
+	fmt.Fprintf(out, "delayload: %d ops in %.1fs (%.0f ops/s) against %s, %d conflicts / %d commits\n",
+		rep.TotalOps, rep.Duration, rep.Throughput, rep.Target, rep.CommitConflicts, rep.Commits)
 	fmt.Fprintf(out, "%-8s %8s %7s %9s %9s %9s %9s\n", "op", "count", "errors", "p50 ms", "p90 ms", "p99 ms", "max ms")
 	for _, class := range classes {
 		st := rep.Ops[class]
@@ -488,7 +507,7 @@ func run(cfg *config, out io.Writer) error {
 	}
 	if bb := rep.BatchBench; bb != nil {
 		// The single-commit invariant is not an opt-in gate: a batch
-		// envelope that committed more than one snapshot per shard means
+		// envelope that committed more than one snapshot means
 		// the pipelined path regressed to per-op commits.
 		if bb.CommitsPerEnvelope != 1 {
 			failures = append(failures, fmt.Errorf("batch envelopes averaged %.2f commits each (want exactly 1: %d commits / %d envelopes)",
@@ -610,122 +629,6 @@ func runBatchCompare(cfg *config, names []string, connect func() (*daemon, func(
 	fmt.Fprintf(out, "batch-compare: %d x %d ops — sequential p50 %.3f / p99 %.3f ms, batch p50 %.3f / p99 %.3f ms (%.2fx p50, %.2fx p99), %.2f commits/envelope\n",
 		trials, n, rep.SequentialP50Ms, rep.SequentialP99Ms, rep.BatchP50Ms, rep.BatchP99Ms, rep.SpeedupP50, rep.Speedup, rep.CommitsPerEnvelope)
 	return rep, nil
-}
-
-// runShardSweep runs the closed loop once per shard count against a fresh
-// daemon over a disjoint-block fabric, with every worker pinned inside one
-// block so operations stay shard-local, and writes all runs to one report.
-func runShardSweep(cfg *config, out io.Writer) error {
-	mix, err := validate(cfg)
-	if err != nil {
-		return err
-	}
-	counts, err := parseList("shards", cfg.shards)
-	if err != nil {
-		return err
-	}
-	for _, c := range counts {
-		if c != float64(int(c)) {
-			return fmt.Errorf("shards %q: counts must be positive integers", cfg.shards)
-		}
-	}
-	if cfg.target != "" {
-		return fmt.Errorf("-shards starts its own in-process daemons and cannot be combined with -target")
-	}
-	if cfg.network != service.DefaultNetworkID {
-		return fmt.Errorf("-shards drives the in-process daemon's default network, not -network %q", cfg.network)
-	}
-	if maxShards := int(counts[len(counts)-1]); cfg.blocks < maxShards {
-		return fmt.Errorf("-blocks %d < max shard count %d: shards beyond the block count would idle", cfg.blocks, maxShards)
-	}
-	net, err := topo.DisjointBlocks(cfg.blocks, cfg.blockSwitches, 0.5)
-	if err != nil {
-		return err
-	}
-	blockNames := make([][]string, cfg.blocks)
-	for i, s := range net.Servers {
-		b := i / cfg.blockSwitches
-		blockNames[b] = append(blockNames[b], s.Name)
-	}
-	laneNames := func(i int) []string { return blockNames[i%len(blockNames)] }
-
-	sweep := shardReport{
-		Blocks:        cfg.blocks,
-		BlockSwitches: cfg.blockSwitches,
-		Prefill:       cfg.prefill,
-		Duration:      cfg.duration.Seconds(),
-		Concurrency:   cfg.concurrency,
-		Mix:           cfg.mix,
-		Seed:          cfg.seed,
-	}
-	fmt.Fprintf(out, "delayload: shard sweep over %d disjoint blocks x %d switches, %d workers, %s each\n",
-		cfg.blocks, cfg.blockSwitches, cfg.concurrency, cfg.duration)
-	for _, c := range counts {
-		shards := int(c)
-		d, shutdown, err := selfServe(net.Servers, analysis.Integrated{}, shards)
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", shards, err)
-		}
-		src := newChurn("ld", mix, cfg, cfg.concurrency, cfg.seed, laneNames)
-		if err := src.prefill(d, blockNames, cfg.prefill); err != nil {
-			shutdown()
-			return fmt.Errorf("shards=%d: prefill: %w", shards, err)
-		}
-		res := execute(d, policy{workers: cfg.concurrency, window: cfg.duration}, src.next)
-		var stats service.StatsResponse
-		statsErr := d.call("GET", "/stats", nil, &stats)
-		shutdown()
-		res.logLastError()
-		if statsErr != nil {
-			return fmt.Errorf("shards=%d: %w", shards, statsErr)
-		}
-		run := shardRun{
-			Shards:            shards,
-			Duration:          res.elapsed.Seconds(),
-			CrossShardCommits: stats.CrossShardCommits,
-			CommitConflicts:   stats.CommitConflicts,
-		}
-		run.Ops, run.TotalOps = res.summarize()
-		run.Throughput = float64(run.TotalOps) / res.elapsed.Seconds()
-		sweep.Runs = append(sweep.Runs, run)
-		fmt.Fprintf(out, "shards=%d: %d ops in %.1fs (%.0f ops/s), %d cross-shard commits, %d conflicts\n",
-			shards, run.TotalOps, run.Duration, run.Throughput, run.CrossShardCommits, run.CommitConflicts)
-		for class, st := range run.Ops {
-			if st.Errors > 0 {
-				return fmt.Errorf("shards=%d: %d %s operations failed", shards, st.Errors, class)
-			}
-		}
-	}
-
-	// The scaling factor compares the 1-shard (or smallest measured) run
-	// against 4 shards when measured, else the largest count.
-	from, to := sweep.Runs[0], sweep.Runs[len(sweep.Runs)-1]
-	for _, r := range sweep.Runs {
-		if r.Shards == 4 {
-			to = r
-		}
-	}
-	sweep.ScalingFrom, sweep.ScalingTo = from.Shards, to.Shards
-	if from.Throughput > 0 {
-		sweep.ScalingFactor = to.Throughput / from.Throughput
-	}
-	fmt.Fprintf(out, "scaling: %.2fx ops/s going from %d to %d shards\n",
-		sweep.ScalingFactor, sweep.ScalingFrom, sweep.ScalingTo)
-	if err := writeReport(cfg.out, sweep, out); err != nil {
-		return err
-	}
-
-	if cfg.gateScaling > 0 {
-		if sweep.ScalingFrom == sweep.ScalingTo {
-			return fmt.Errorf("scaling gate needs at least two distinct shard counts")
-		}
-		if sweep.ScalingFactor < cfg.gateScaling {
-			return fmt.Errorf("scaling gate: %.2fx (%d -> %d shards) below required %.1fx",
-				sweep.ScalingFactor, sweep.ScalingFrom, sweep.ScalingTo, cfg.gateScaling)
-		}
-		fmt.Fprintf(out, "scaling gate ok: %.2fx >= %.1fx\n", sweep.ScalingFactor, cfg.gateScaling)
-	}
-	return nil
 }
 
 // writeReport writes v as indented JSON to path (nothing when path is empty).

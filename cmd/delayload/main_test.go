@@ -89,12 +89,8 @@ func TestRunInProcess(t *testing.T) {
 func runReport[T any](t *testing.T, cfg *config) T {
 	t.Helper()
 	cfg.out = filepath.Join(t.TempDir(), "report.json")
-	runner := run
-	if cfg.shards != "" {
-		runner = runShardSweep
-	}
 	var buf bytes.Buffer
-	if err := runner(cfg, &buf); err != nil {
+	if err := run(cfg, &buf); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
 	}
 	data, err := os.ReadFile(cfg.out)
@@ -158,32 +154,41 @@ func TestBatchCompare(t *testing.T) {
 	}
 }
 
-// TestShardSweep runs -shards 1,2 over two blocks and checks the
-// BENCH_shards.json schema.
-func TestShardSweep(t *testing.T) {
+// TestBlockChurn runs the block-pinned closed loop over two disjoint
+// blocks with prefilled standing state and checks the report: one worker
+// per block means one writer per component, so no commit may conflict.
+func TestBlockChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load run skipped in -short mode")
 	}
 	cfg := shortRun()
 	cfg.duration = 150 * time.Millisecond
-	cfg.shards, cfg.blocks, cfg.blockSwitches, cfg.prefill = "1,2", 2, 3, 5
+	cfg.blocks, cfg.blockSwitches, cfg.prefill = 2, 3, 5
 	cfg.network = "default"
-	rep := runReport[shardReport](t, cfg)
-	if rep.Blocks != 2 || rep.BlockSwitches != 3 || rep.Prefill != 5 || rep.Concurrency != 2 || len(rep.Runs) != 2 {
-		t.Fatalf("shard report: %+v", rep)
+	rep := runReport[report](t, cfg)
+	if rep.Blocks != 2 || rep.BlockSwitches != 3 || rep.Prefill != 5 || rep.Concurrency != 2 {
+		t.Fatalf("block report: %+v", rep)
 	}
-	for i, run := range rep.Runs {
-		if run.Shards != i+1 || run.TotalOps == 0 || run.Throughput <= 0 {
-			t.Fatalf("run %d: %+v", i, run)
-		}
-		for class, st := range run.Ops {
-			if st.Errors != 0 {
-				t.Fatalf("run %d: %d %s errors", i, st.Errors, class)
-			}
+	if rep.TotalOps == 0 || rep.Throughput <= 0 || rep.Commits == 0 {
+		t.Fatalf("empty block run: %+v", rep)
+	}
+	for class, st := range rep.Ops {
+		if st.Errors != 0 {
+			t.Fatalf("%d %s errors", st.Errors, class)
 		}
 	}
-	if rep.ScalingFrom != 1 || rep.ScalingTo != 2 || rep.ScalingFactor <= 0 {
-		t.Fatalf("scaling: %+v", rep)
+	if rep.CommitConflicts != 0 || rep.ConflictsPerCommit != 0 {
+		t.Fatalf("disjoint block workers conflicted: %d conflicts over %d commits", rep.CommitConflicts, rep.Commits)
+	}
+	var stats struct {
+		Admitted   int `json:"admitted"`
+		Components int `json:"components"`
+	}
+	if err := json.Unmarshal(rep.EngineStats, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Admitted < 10 || stats.Components != 2 {
+		t.Fatalf("engine stats after the run: %+v", stats)
 	}
 }
 
@@ -196,6 +201,7 @@ func TestRunValidation(t *testing.T) {
 		func(c *config) { c.duration = 0 },
 		func(c *config) { c.self = 0 },
 		func(c *config) { c.target = "http://127.0.0.1:1"; c.servers = "" },
+		func(c *config) { c.target = "http://127.0.0.1:1"; c.servers = "s0"; c.blocks = 2 },
 	}
 	for i, mutate := range cases {
 		cfg := base

@@ -224,11 +224,11 @@ func tandem(n int) []server.Server {
 	return servers
 }
 
-// selfServe starts an in-process delayd over servers, its engine split
-// into shards, on a loopback listener, and returns a client of its default
-// network and a shutdown func.
-func selfServe(servers []server.Server, analyzer analysis.Analyzer, shards int) (*daemon, func(), error) {
-	state, err := service.NewStateShards(servers, analyzer, shards)
+// selfServe starts an in-process delayd over servers on a loopback
+// listener and returns a client of its default network and a shutdown
+// func.
+func selfServe(servers []server.Server, analyzer analysis.Analyzer) (*daemon, func(), error) {
+	state, err := service.NewState(servers, analyzer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -265,8 +265,8 @@ func connSpec(name string, path []string, rho, deadline float64) netspec.Connect
 	return netspec.ConnectionSpec{Name: name, Sigma: 1, Rho: rho, AccessRate: 1, Path: hops, Deadline: deadline}
 }
 
-// churn is the admit/release/batch op source of the closed loop, the
-// open-loop sweep and the shard sweep. Each lane draws ops by the mix
+// churn is the admit/release/batch op source of the closed loop and the
+// open-loop sweep. Each lane draws ops by the mix
 // weights over its own fabric servers and releases only connections it
 // admitted itself, so its releases never race another lane's.
 type churn struct {

@@ -109,23 +109,28 @@ type Decision struct {
 	Bounds []float64
 }
 
-// evaluate derives the Decision for an analyzed trial network. It is the
-// single decision rule shared by the full Controller path and the
+// evaluate derives the Decision for an analyzed trial network — the
+// admitted connections plus the candidate, last — from its bounds. It is
+// the single decision rule shared by the full Controller path and the
 // incremental Engine path, so the two can never diverge.
-func evaluate(trial *topo.Network, res *analysis.Result) Decision {
-	d := Decision{Bounds: res.Bounds}
-	for i, conn := range trial.Connections {
+func evaluate(admitted []topo.Connection, cand topo.Connection, bounds []float64) Decision {
+	d := Decision{Bounds: bounds}
+	for i, b := range bounds {
+		conn := cand
+		if i < len(admitted) {
+			conn = admitted[i]
+		}
 		if conn.Deadline <= 0 {
 			continue
 		}
-		if math.IsInf(res.Bound(i), 1) || res.Bound(i) > conn.Deadline {
+		if math.IsInf(b, 1) || b > conn.Deadline {
 			name := conn.Name
 			if name == "" {
 				name = fmt.Sprintf("connection %d", i)
 			}
 			d.Violations = append(d.Violations, Violation{
 				Connection: name,
-				Bound:      res.Bound(i),
+				Bound:      b,
 				Deadline:   conn.Deadline,
 			})
 		}
@@ -158,7 +163,7 @@ func (c *Controller) Test(cand topo.Connection) (Decision, error) {
 	if err != nil {
 		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
 	}
-	return evaluate(trial, res), nil
+	return evaluate(c.admitted, cand, res.Bounds), nil
 }
 
 // Admit runs Test and, on success, commits the candidate.

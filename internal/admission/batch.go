@@ -1,11 +1,12 @@
-// Batch pipelining: a whole mixed admit/release envelope evaluated against
-// one working baseline and committed as a single snapshot.
+// Batch pipelining: a whole mixed admit/release envelope evaluated as one
+// transaction and committed as a single snapshot.
 //
 // ApplyBatch replays every operation of an envelope the way the sequential
 // per-op path would — the same prechecks, the same affected-set scoping,
 // the same unit-trace extensions and shrinks against the same analyzer —
-// but accumulates the mutations in a private working state and installs
-// them with ONE version-checked snapshot swap at the end. A 50-op batch
+// but accumulates the mutations in one transaction's private working state
+// and installs them with ONE commit at the end, checked against every
+// component the envelope read. A 50-op batch
 // therefore pays one snapshot copy and one commit instead of 50, and
 // concurrent traffic can never observe (or interleave with) a half-applied
 // envelope: readers see the set either entirely before or entirely after
@@ -61,33 +62,8 @@ type BatchResult struct {
 	// Results holds one entry per operation, in request order.
 	Results []OpResult
 	// Commits is the number of snapshot commits the envelope performed:
-	// 0 when no operation mutated the set, otherwise exactly one per shard
-	// touched (1 for a plain Engine).
+	// 0 when no operation mutated the set, otherwise exactly 1.
 	Commits int
-	// ShardsTouched is the number of engine shards that committed; always
-	// <= Commits-wise equal for shard-local envelopes (a plain Engine
-	// reports 1 when the envelope mutated, 0 otherwise).
-	ShardsTouched int
-}
-
-// batchState is the working state one envelope evaluation accumulates: the
-// would-be admitted set and the baseline as the sequential path would have
-// left them after the operations applied so far.
-type batchState struct {
-	admitted []topo.Connection
-	base     *analysis.Baseline
-	// mutated flips on the first successful admit or release; an envelope
-	// that never mutates commits nothing.
-	mutated bool
-	// buildFailed mirrors the sequential snapshot's sticky baseErr: once a
-	// lazy baseline build fails, later operations against the *same*
-	// would-be snapshot go straight to the full path. Any mutation starts a
-	// fresh would-be snapshot, so the flag resets.
-	buildFailed bool
-	// compacted records that some release dropped the baseline, so a warm
-	// rebuild should be scheduled after the commit (matching the sequential
-	// compaction path) unless a later operation promoted a fresh one.
-	compacted bool
 }
 
 // validateOps rejects malformed envelopes before anything is evaluated.
@@ -108,30 +84,53 @@ func validateOps(ops []Op) error {
 // Every operation sees the set as left by its predecessors in the envelope
 // (greedy semantics, like the sequential path), decisions and release
 // reports are bit-identical to issuing the operations one by one, and the
-// engine's version advances by at most 1. A concurrent commit between the
-// snapshot read and the batch commit retries the whole envelope, exactly
-// like Admit's optimistic loop. A cancellation (check IsCanceled) aborts
-// the envelope with nothing committed.
+// engine's version advances by at most 1. A concurrent commit to a
+// component the envelope read retries the whole envelope, like Admit's
+// optimistic loop (past maxConflicts under a reservation of everything the
+// envelope can reach). A cancellation (check IsCanceled) aborts the
+// envelope with nothing committed.
 func (e *Engine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
 	if err := validateOps(ops); err != nil {
 		return nil, err
 	}
 	e.batchEnvs.Add(1)
 	e.batchOps.Add(uint64(len(ops)))
-	for {
-		snap := e.Snapshot()
-		br, st, err := e.evalBatch(ctx, snap, ops)
-		if err != nil {
-			return nil, err
+	// The envelope can touch what its admissions' routes reach and the
+	// components of the connections it releases; connections it admits
+	// itself lie on routes already counted.
+	scope := func(st *state) []int {
+		var out []int
+		for _, op := range ops {
+			if op.Kind == OpAdmit {
+				out = append(out, reach(st, op.Candidate.Path)...)
+			} else if i := st.find(op.Name); i >= 0 {
+				out = append(out, st.owner[st.admitted[i].Path[0]].servers...)
+			}
 		}
-		if !st.mutated {
+		return out
+	}
+	for attempt := 1; ; attempt++ {
+		t := e.begin(attempt, scope)
+		br := &BatchResult{Results: make([]OpResult, len(ops))}
+		for i, op := range ops {
+			var err error
+			br.Results[i], err = t.apply(ctx, op)
+			if err != nil {
+				e.unreserve(t.token)
+				return nil, err
+			}
+		}
+		if !t.mutated() {
+			e.unreserve(t.token)
 			return br, nil
 		}
-		if e.commitBatch(snap, st) {
+		if e.commit(t) {
 			br.Commits = 1
-			br.ShardsTouched = 1
-			if st.compacted && st.base == nil && e.inc != nil && e.prewarm {
-				e.scheduleWarm()
+			e.batchComs.Add(1)
+			for i, op := range ops {
+				if op.Kind == OpRelease && br.Results[i].Released {
+					e.countRelease(br.Results[i].Release)
+				}
 			}
 			return br, nil
 		}
@@ -139,193 +138,22 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error)
 	}
 }
 
-// evalBatch runs every operation against a private working copy of the
-// snapshot's state, never mutating the engine. The returned batchState is
-// what commitBatch installs.
-func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op) (*BatchResult, *batchState, error) {
-	st := &batchState{
-		// One copy per envelope (not per op): appends and removals below
-		// must never write into the snapshot's backing array.
-		admitted: append([]topo.Connection(nil), snap.admitted...),
-		base:     snap.cachedBaseline(),
+// apply evaluates one envelope operation into the transaction. The only
+// returned error is a cancellation; per-operation failures land in the
+// result.
+func (t *txn) apply(ctx context.Context, op Op) (OpResult, error) {
+	if op.Kind == OpRelease {
+		info, ok, err := t.release(ctx, op.Name)
+		return OpResult{Released: ok, Release: info}, err
 	}
-	br := &BatchResult{Results: make([]OpResult, len(ops))}
-	for i, op := range ops {
-		switch op.Kind {
-		case OpAdmit:
-			d, err := e.batchAdmit(ctx, snap, st, op.Candidate)
-			if err != nil && IsCanceled(err) {
-				return nil, nil, err
-			}
-			br.Results[i] = OpResult{Decision: d, Err: err}
-		case OpRelease:
-			res, err := e.batchRelease(ctx, st, op.Name)
-			if err != nil {
-				return nil, nil, err
-			}
-			br.Results[i] = res
-		}
+	d, adm, err := t.test(ctx, nil, op.Candidate)
+	if err != nil && IsCanceled(err) {
+		return OpResult{}, err
 	}
-	return br, st, nil
-}
-
-// ensureBaseline returns the working baseline for an incremental admit,
-// building one lazily the way the sequential path would: before the first
-// mutation it joins the snapshot's own lazy build (so the analysis is
-// shared with concurrent tests), after a mutation it builds privately over
-// the working set. Build failures stick until the next mutation.
-func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Baseline, error) {
-	if st.base != nil {
-		return st.base, nil
+	if err == nil && d.Admitted {
+		t.applyAdmit(adm, op.Candidate)
 	}
-	if st.buildFailed {
-		return nil, fmt.Errorf("admission: baseline build failed")
-	}
-	var (
-		base *analysis.Baseline
-		err  error
-	)
-	if !st.mutated {
-		base, err = snap.baseline()
-	} else {
-		net := &topo.Network{
-			Servers:     e.servers,
-			Connections: append([]topo.Connection(nil), st.admitted...),
-		}
-		base, err = e.inc.NewBaseline(net)
-		if err == nil {
-			e.epoch.Add(1)
-		}
-	}
-	if err != nil {
-		st.buildFailed = true
-		return nil, err
-	}
-	st.base = base
-	return base, nil
-}
-
-// batchAdmit mirrors Snapshot.test plus the commit's working-state effects
-// against st instead of the engine.
-func (e *Engine) batchAdmit(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection) (Decision, error) {
-	if cand.Deadline <= 0 {
-		return Decision{Code: CodeInvalidSpec, Reason: "candidate has no deadline"},
-			fmt.Errorf("admission: candidate %q has no deadline", cand.Name)
-	}
-	trial := &topo.Network{Servers: e.servers}
-	trial.Connections = append(trial.Connections, st.admitted...)
-	trial.Connections = append(trial.Connections, cand)
-	// st.base, when present, is the baseline over exactly st.admitted, so
-	// its checker validates the candidate in O(candidate); a nil working
-	// baseline degrades to the identical full validation.
-	if err := st.base.ValidateExtend(trial); err != nil {
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
-	}
-	if !trial.Stable() {
-		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, nil
-	}
-	affected, _ := AffectedSet(len(e.servers), st.admitted, cand)
-	e.observeAffected(len(affected))
-	if e.inc != nil {
-		if base, err := st.ensureBaseline(e, snap); err == nil {
-			ext, err := base.ExtendContext(ctx, cand)
-			if err == nil {
-				e.incTests.Add(1)
-				d := evaluate(trial, ext.Result())
-				if d.Admitted {
-					st.admitted = append(st.admitted, cand)
-					st.base = ext.Promote()
-					st.mutated = true
-					st.buildFailed = false
-				}
-				return d, nil
-			}
-			if IsCanceled(err) {
-				return Decision{}, err
-			}
-		}
-		// Baseline or extension failure: fall through to the full path,
-		// which reproduces the sequential fallback exactly.
-	}
-	e.fullTests.Add(1)
-	res, err := analysis.AnalyzeWithContext(ctx, e.analyzer, trial)
-	if err != nil {
-		if IsCanceled(err) {
-			return Decision{}, err
-		}
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
-	}
-	d := evaluate(trial, res)
-	if d.Admitted {
-		// A full-path admit commits without a promoted baseline
-		// sequentially; the working state mirrors that (the next
-		// incremental admit rebuilds one over the new set).
-		st.admitted = append(st.admitted, cand)
-		st.base = nil
-		st.mutated = true
-		st.buildFailed = false
-	}
-	return d, nil
-}
-
-// batchRelease mirrors Engine.Release's shrink-or-compact choice against
-// the working state. The only returned error is a cancellation from the
-// scoped shrink replay.
-func (e *Engine) batchRelease(ctx context.Context, st *batchState, name string) (OpResult, error) {
-	idx := -1
-	for i, conn := range st.admitted {
-		if conn.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return OpResult{}, nil
-	}
-	info := ReleaseInfo{Affected: -1}
-	if e.inc != nil && st.base != nil {
-		survivors := append(append([]topo.Connection(nil), st.admitted[:idx]...), st.admitted[idx+1:]...)
-		affected, _ := AffectedSet(len(e.servers), survivors, st.admitted[idx])
-		info.Affected = len(affected)
-		e.observeAffected(len(affected))
-		if float64(len(affected)) <= e.compactionThreshold()*float64(len(survivors)) {
-			ext, err := st.base.ShrinkContext(ctx, idx)
-			if err == nil {
-				st.base = ext.Promote()
-				info.Incremental = true
-			} else if IsCanceled(err) {
-				return OpResult{}, err
-			}
-		}
-	}
-	if info.Incremental {
-		e.incRels.Add(1)
-	} else {
-		st.base = nil
-		st.compacted = true
-		e.compactRels.Add(1)
-	}
-	st.admitted = append(st.admitted[:idx], st.admitted[idx+1:]...)
-	st.mutated = true
-	st.buildFailed = false
-	return OpResult{Released: true, Release: info}, nil
-}
-
-// commitBatch installs the working state as the next snapshot version iff
-// snap is still current — the envelope's single epoch-stamped commit.
-func (e *Engine) commitBatch(snap *Snapshot, st *batchState) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.snap.Load() != snap {
-		return false
-	}
-	next := &Snapshot{eng: e, version: snap.version + 1, admitted: st.admitted, promoted: st.base}
-	if st.base != nil {
-		e.epoch.Add(1)
-	}
-	e.snap.Store(next)
-	e.batchComs.Add(1)
-	return true
+	return OpResult{Decision: d, Err: err}, nil
 }
 
 // TestBatch is the dry-run counterpart of ApplyBatch: it evaluates every
@@ -335,30 +163,22 @@ func (e *Engine) commitBatch(snap *Snapshot, st *batchState) bool {
 // against the current admitted set alone (a dry-run envelope does not
 // accumulate its own hypothetical admissions). Nothing is ever committed.
 func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
-	return e.Snapshot().testBatch(ctx, cands)
+	return e.testBatch(ctx, nil, cands)
 }
 
 // TestBatchWith is TestBatch on the degraded path: every candidate is
 // evaluated with the explicit analyzer (full analysis, no incremental
 // state) against one pinned snapshot.
 func (e *Engine) TestBatchWith(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]OpResult, error) {
-	snap := e.Snapshot()
-	out := make([]OpResult, len(cands))
-	for i, cand := range cands {
-		d, err := snap.testWith(ctx, analyzer, cand)
-		if err != nil && IsCanceled(err) {
-			return nil, err
-		}
-		out[i] = OpResult{Decision: d, Err: err}
-	}
-	return out, nil
+	return e.testBatch(ctx, analyzer, cands)
 }
 
 // testBatch runs the pinned-snapshot dry evaluation.
-func (s *Snapshot) testBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
+func (e *Engine) testBatch(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]OpResult, error) {
+	snap := e.Snapshot()
 	out := make([]OpResult, len(cands))
 	for i, cand := range cands {
-		d, _, err := s.test(ctx, cand)
+		d, _, err := newTxn(snap, 0).test(ctx, analyzer, cand)
 		if err != nil && IsCanceled(err) {
 			return nil, err
 		}

@@ -181,8 +181,8 @@ func TestApplyBatchSingleCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Commits != 1 || br.ShardsTouched != 1 {
-		t.Fatalf("envelope reported %d commits over %d shards, want 1/1", br.Commits, br.ShardsTouched)
+	if br.Commits != 1 {
+		t.Fatalf("envelope reported %d commits, want 1", br.Commits)
 	}
 	if v := eng.Snapshot().Version(); v != 1 {
 		t.Fatalf("version %d after one envelope, want 1", v)
@@ -271,8 +271,8 @@ func TestTestBatchPinnedSnapshot(t *testing.T) {
 
 // TestSetCompactionThresholdRace is the -race regression for the
 // previously unsynchronized compactFrac write: flipping the threshold
-// while releases read it concurrently must be clean on both engine
-// flavors.
+// while releases read it concurrently must be clean, with one writer and
+// with writers releasing in disjoint components at once.
 func TestSetCompactionThresholdRace(t *testing.T) {
 	net := disjointTandem(t, 8)
 	run := func(t *testing.T, admit func(topo.Connection) error, release func(string) bool, setThreshold func(float64)) {
@@ -311,14 +311,31 @@ func TestSetCompactionThresholdRace(t *testing.T) {
 			eng.Remove,
 			eng.SetCompactionThreshold)
 	})
-	t.Run("sharded", func(t *testing.T) {
-		se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, 2)
+	t.Run("components", func(t *testing.T) {
+		eng, err := NewEngine(net.Servers, analysis.Integrated{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var writers sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			writers.Add(1)
+			go func(w int) {
+				defer writers.Done()
+				for i := 0; i < 25; i++ {
+					c := net.Connections[(2*i+w)%len(net.Connections)]
+					c.Name = fmt.Sprintf("w%d-%d", w, i)
+					if _, err := eng.Admit(c); err != nil {
+						t.Error(err)
+						return
+					}
+					eng.Remove(c.Name)
+				}
+			}(w)
+		}
 		run(t,
-			func(c topo.Connection) error { _, err := se.Admit(c); return err },
-			se.Remove,
-			se.SetCompactionThreshold)
+			func(c topo.Connection) error { _, err := eng.Admit(c); return err },
+			eng.Remove,
+			eng.SetCompactionThreshold)
+		writers.Wait()
 	})
 }

@@ -88,7 +88,7 @@ func warmEngine(tb testing.TB, net *topo.Network, cand topo.Connection) *Engine 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng.snap.Store(&Snapshot{eng: eng, admitted: net.Connections})
+	eng.seed(net.Connections)
 	d, err := eng.Test(cand) // builds the baseline
 	if err != nil {
 		tb.Fatal(err)
@@ -292,4 +292,38 @@ func TestIncrementalSpeedup(t *testing.T) {
 	if ratio < 5 {
 		t.Fatalf("incremental speedup %.1fx below the 5x acceptance bar (full %v, incremental %v)", ratio, full, incr)
 	}
+}
+
+// seed installs conns as the admitted set in one commit with no
+// baselines, partitioned into components — the state a long-running
+// daemon reaches, without paying one admission test per connection. conns
+// must be a valid, stable network's connections.
+func (e *Engine) seed(conns []topo.Connection) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cur := e.snap.Load()
+	next := &Snapshot{eng: e, version: cur.version + 1, state: state{owner: make([]*component, len(e.servers))}}
+	view := analysis.Components(&topo.Network{Servers: e.servers, Connections: conns})
+	members := make([][]int, view.Count)
+	for i, c := range view.Conn {
+		members[c] = append(members[c], i)
+	}
+	for _, idx := range members {
+		cc := make([]topo.Connection, len(idx))
+		seqs := make([]uint64, len(idx))
+		for k, i := range idx {
+			cc[k], seqs[k] = conns[i], uint64(i)
+		}
+		comp := newComponent(cc, seqs, nil)
+		for _, s := range comp.servers {
+			next.owner[s] = comp
+		}
+	}
+	next.admitted = append([]topo.Connection(nil), conns...)
+	next.seqs = make([]uint64, len(conns))
+	for i := range next.seqs {
+		next.seqs[i] = uint64(i)
+	}
+	next.nextSeq = uint64(len(conns))
+	e.snap.Store(next)
 }

@@ -3,12 +3,15 @@
 // Engine replaces the serialize-everything pattern (a mutex around
 // Controller for the whole analysis) with versioned immutable snapshots:
 // an admission test analyzes a snapshot outside any lock, and Admit
-// commits with a version check, retrying on conflict. On analyzers that
-// implement analysis.Incremental (Integrated, Decomposed), each snapshot
-// carries a lazily built analysis baseline, so a test re-analyzes only the
-// candidate's downstream interference closure and an admission promotes
-// the extended baseline at no extra cost. Decisions and bounds are
-// bit-identical to Controller's full re-analysis.
+// commits with a version check, retrying on conflict. The admitted set is
+// split into independent components (component.go), each carrying a
+// lazily built analysis baseline on analyzers that implement
+// analysis.Incremental (Integrated, Decomposed): a test re-analyzes only
+// the candidate's downstream interference closure inside the components
+// its route touches, an admission promotes the extended baseline at no
+// extra cost, and commits on disjoint components never conflict.
+// Decisions and bounds are bit-identical to Controller's full
+// re-analysis.
 package admission
 
 import (
@@ -94,6 +97,15 @@ var affectedBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 // rebuild, so the rebuild moves off the request path instead.
 const DefaultCompactionThreshold = 0.5
 
+// maxConflicts is how many commit conflicts one operation absorbs
+// optimistically. The next attempt reserves the servers of the components
+// it touches and retests there: no other commit can touch them until it
+// commits, so an operation runs at most maxConflicts+1 analyses however
+// hot its component is. A reservation also fails every other writer's
+// in-flight attempt on those servers, so a small bound convoys: at 4,
+// two clients churning one 16-server tandem doubled their batch p50.
+const maxConflicts = 8
+
 // Stats is a point-in-time copy of the engine's counters.
 type Stats struct {
 	// IncrementalTests and FullTests count admission analyses by path.
@@ -109,7 +121,8 @@ type Stats struct {
 	// shrinks on release, and lazy or background rebuilds. It is the
 	// freshness stamp compaction re-promotion checks against.
 	BaselineEpoch uint64
-	// CommitConflicts counts Admit retries forced by a concurrent commit.
+	// CommitConflicts counts retries forced by a concurrent commit to a
+	// component the operation read.
 	CommitConflicts uint64
 	// BatchEnvelopes counts ApplyBatch calls, BatchOps the operations they
 	// carried, and BatchCommits the snapshot commits they installed. A
@@ -147,9 +160,23 @@ type Engine struct {
 	compactFrac atomic.Uint64
 	// prewarm rebuilds compacted baselines in the background; startup
 	// configuration, like ForceFull.
-	prewarm     bool
-	mu          sync.Mutex // serializes snapshot swaps only
-	snap        atomic.Pointer[Snapshot]
+	prewarm bool
+	// mu serializes snapshot swaps and server reservations only; cond
+	// wakes operations waiting for a reservation to end. held maps each
+	// server to the reservation holding it (0: free) and tokens numbers
+	// reservations; both are guarded by mu. reservations counts the held
+	// ones, so operations skip mu while there are none.
+	mu           sync.Mutex
+	cond         *sync.Cond
+	held         []uint64
+	tokens       uint64
+	reservations atomic.Int64
+	snap         atomic.Pointer[Snapshot]
+	// empty is the baseline of the connection-free network, extended by
+	// candidates that touch no component.
+	emptyOnce   sync.Once
+	empty       *analysis.Baseline
+	emptyErr    error
 	incTests    atomic.Uint64
 	fullTests   atomic.Uint64
 	incRels     atomic.Uint64
@@ -170,6 +197,11 @@ type Engine struct {
 	warmDirty atomic.Bool
 }
 
+// ShardedEngine is the name the engine had while the fabric was split into
+// engine shards; components are now the commit domains inside one Engine.
+// It stays until the benchmark harness stops naming it.
+type ShardedEngine = Engine
+
 // NewEngine builds an engine over the given fabric. The analyzer's
 // incremental path is used automatically when it implements
 // analysis.Incremental.
@@ -187,17 +219,24 @@ func NewEngine(servers []server.Server, analyzer analysis.Analyzer) (*Engine, er
 	}
 	cp := make([]server.Server, len(servers))
 	copy(cp, servers)
+	// The fabric is validated once here (duplicate server names), so
+	// admission tests only validate what a candidate can break.
+	if err := (&topo.Network{Servers: cp}).Validate(); err != nil {
+		return nil, fmt.Errorf("admission: %w", err)
+	}
 	e := &Engine{
 		servers:   cp,
 		analyzer:  analyzer,
 		prewarm:   true,
+		held:      make([]uint64, len(cp)),
 		affBucket: make([]atomic.Uint64, len(affectedBuckets)+1),
 	}
+	e.cond = sync.NewCond(&e.mu)
 	e.compactFrac.Store(math.Float64bits(DefaultCompactionThreshold))
 	if inc, ok := analyzer.(analysis.Incremental); ok {
 		e.inc = inc
 	}
-	e.snap.Store(&Snapshot{eng: e})
+	e.snap.Store(&Snapshot{eng: e, state: state{owner: make([]*component, len(cp))}})
 	return e, nil
 }
 
@@ -209,7 +248,7 @@ func (e *Engine) ForceFull() {
 	defer e.mu.Unlock()
 	e.inc = nil
 	cur := e.snap.Load()
-	e.snap.Store(&Snapshot{eng: e, version: cur.version + 1, admitted: cur.admitted})
+	e.snap.Store(&Snapshot{eng: e, version: cur.version + 1, state: cur.state})
 }
 
 // Analyzer returns the analyzer admission tests run.
@@ -279,21 +318,20 @@ func (e *Engine) observeAffected(n int) {
 	e.affSum.Add(uint64(n))
 }
 
+// emptyBaseline returns the baseline of the connection-free network.
+func (e *Engine) emptyBaseline() (*analysis.Baseline, error) {
+	e.emptyOnce.Do(func() {
+		e.empty, e.emptyErr = e.inc.NewBaseline(&topo.Network{Servers: e.servers})
+	})
+	return e.empty, e.emptyErr
+}
+
 // Snapshot is an immutable view of the admitted set at one version. Tests
 // against a snapshot are pure and may run concurrently.
 type Snapshot struct {
-	eng      *Engine
-	version  uint64
-	admitted []topo.Connection
-	// promoted is a baseline handed over by the commit that created this
-	// snapshot; baseOnce/base/baseErr lazily build one otherwise, with
-	// baseReady flipping once a lazy build has succeeded so release can
-	// peek without joining an in-flight build.
-	promoted  *analysis.Baseline
-	baseOnce  sync.Once
-	base      *analysis.Baseline
-	baseErr   error
-	baseReady atomic.Bool
+	eng     *Engine
+	version uint64
+	state
 }
 
 // Snapshot returns the current version of the admitted set.
@@ -305,149 +343,38 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // Count returns the number of admitted connections.
 func (s *Snapshot) Count() int { return len(s.admitted) }
 
+// Components returns the number of independent components.
+func (s *Snapshot) Components() int { return len(s.components()) }
+
 // Admitted returns a copy of the snapshot's admitted set.
 func (s *Snapshot) Admitted() []topo.Connection {
-	out := make([]topo.Connection, len(s.admitted))
-	copy(out, s.admitted)
-	return out
+	return append([]topo.Connection(nil), s.admitted...)
 }
 
-// network materializes the snapshot's (or a trial) connection set.
-func (s *Snapshot) network(extra ...topo.Connection) *topo.Network {
-	net := &topo.Network{Servers: s.eng.servers}
-	net.Connections = append(net.Connections, s.admitted...)
-	net.Connections = append(net.Connections, extra...)
-	return net
+// Connections returns the snapshot's admitted set in global commit order
+// without copying it. The slice is shared with the immutable snapshot:
+// callers must not modify its elements (appending is safe, its capacity
+// is clipped).
+func (s *Snapshot) Connections() []topo.Connection {
+	n := len(s.admitted)
+	return s.admitted[:n:n]
 }
 
 // Utilization returns the per-server utilization of the admitted set.
-func (s *Snapshot) Utilization() []float64 { return s.network().Utilization() }
-
-// baseline returns the snapshot's analysis baseline, building it (one full
-// analysis of the admitted set) at most once.
-func (s *Snapshot) baseline() (*analysis.Baseline, error) {
-	if s.promoted != nil {
-		return s.promoted, nil
-	}
-	s.baseOnce.Do(func() {
-		// inc can be nil here when ForceFull raced a stale warm goroutine;
-		// the guard keeps the snapshot baseline-less instead of panicking.
-		if s.eng.inc == nil {
-			s.baseErr = fmt.Errorf("admission: incremental path disabled")
-			return
-		}
-		s.base, s.baseErr = s.eng.inc.NewBaseline(s.network())
-		if s.baseErr == nil {
-			s.eng.epoch.Add(1)
-			s.baseReady.Store(true)
-		}
-	})
-	return s.base, s.baseErr
-}
-
-// cachedBaseline returns the snapshot's baseline only if one is already
-// materialized (promoted by a commit or completed by a lazy build). It
-// never builds one: the release path must not pay a full analysis just to
-// shrink it.
-func (s *Snapshot) cachedBaseline() *analysis.Baseline {
-	if s.promoted != nil {
-		return s.promoted
-	}
-	if s.baseReady.Load() {
-		return s.base
-	}
-	return nil
-}
+func (s *Snapshot) Utilization() []float64 { return s.utilization(s.eng) }
 
 // Test checks whether the candidate could be admitted into this snapshot.
 // It never mutates the engine and is safe to call concurrently.
 func (s *Snapshot) Test(cand topo.Connection) (Decision, error) {
-	d, _, err := s.test(context.Background(), cand)
-	return d, err
+	return s.TestContext(context.Background(), cand)
 }
 
 // TestContext is Test with cooperative cancellation: the analysis observes
 // the context and the call returns its error (check with IsCanceled) once
 // it is done. An uncancelled call is bit-identical to Test.
 func (s *Snapshot) TestContext(ctx context.Context, cand topo.Connection) (Decision, error) {
-	d, _, err := s.test(ctx, cand)
+	d, _, err := newTxn(s, 0).test(ctx, nil, cand)
 	return d, err
-}
-
-// precheck runs the analysis-free candidate validation shared by every
-// test flavor. proceed is false when the decision (or error) is final.
-func (s *Snapshot) precheck(cand topo.Connection) (trial *topo.Network, d Decision, proceed bool, err error) {
-	if cand.Deadline <= 0 {
-		return nil, Decision{Code: CodeInvalidSpec, Reason: "candidate has no deadline"}, false,
-			fmt.Errorf("admission: candidate %q has no deadline", cand.Name)
-	}
-	trial = s.network(cand)
-	// With a materialized baseline the validation is O(candidate): the
-	// admitted set was validated when it was committed, so only the
-	// candidate can fail. Without one (cold start, post-compaction,
-	// ForceFull) the nil receiver degrades to the identical full check.
-	if err := s.cachedBaseline().ValidateExtend(trial); err != nil {
-		return nil, Decision{Code: CodeInvalidSpec, Reason: err.Error()}, false, err
-	}
-	if !trial.Stable() {
-		return nil, Decision{Code: CodeUnstable, Reason: "network would be unstable"}, false, nil
-	}
-	return trial, Decision{}, true, nil
-}
-
-// test returns the decision plus, on the incremental path, the extension
-// to promote on commit. A cancellation surfaces as a bare error (never as
-// a CodeInvalidSpec decision, and never by silently falling through to
-// the more expensive full path).
-func (s *Snapshot) test(ctx context.Context, cand topo.Connection) (Decision, *analysis.Extension, error) {
-	trial, d, proceed, err := s.precheck(cand)
-	if !proceed {
-		return d, nil, err
-	}
-	affected, _ := AffectedSet(len(s.eng.servers), s.admitted, cand)
-	s.eng.observeAffected(len(affected))
-	if s.eng.inc != nil {
-		if base, err := s.baseline(); err == nil {
-			ext, err := base.ExtendContext(ctx, cand)
-			if err == nil {
-				s.eng.incTests.Add(1)
-				return evaluate(trial, ext.Result()), ext, nil
-			}
-			if IsCanceled(err) {
-				return Decision{}, nil, err
-			}
-		}
-		// Baseline or extension failure: fall through to the full path,
-		// which reproduces Controller.Test exactly (including its error).
-	}
-	s.eng.fullTests.Add(1)
-	res, err := analysis.AnalyzeWithContext(ctx, s.eng.analyzer, trial)
-	if err != nil {
-		if IsCanceled(err) {
-			return Decision{}, nil, err
-		}
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
-	}
-	return evaluate(trial, res), nil, nil
-}
-
-// testWith runs the full (non-incremental) admission test with an explicit
-// analyzer — the degradation hook: the serving layer retries a timed-out
-// integrated test with the always-valid decomposed analyzer.
-func (s *Snapshot) testWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	trial, d, proceed, err := s.precheck(cand)
-	if !proceed {
-		return d, err
-	}
-	s.eng.fullTests.Add(1)
-	res, err := analysis.AnalyzeWithContext(ctx, analyzer, trial)
-	if err != nil {
-		if IsCanceled(err) {
-			return Decision{}, err
-		}
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
-	}
-	return evaluate(trial, res), nil
 }
 
 // Test runs the admission test against the current snapshot, outside any
@@ -466,12 +393,15 @@ func (e *Engine) TestContext(ctx context.Context, cand topo.Connection) (Decisio
 // the current snapshot — the serving layer's degraded path. The decision
 // is as sound as the analyzer's bounds; it is never committed here.
 func (e *Engine) TestWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	return e.Snapshot().testWith(ctx, analyzer, cand)
+	d, _, err := newTxn(e.Snapshot(), 0).test(ctx, analyzer, cand)
+	return d, err
 }
 
 // Admit tests the candidate against the current snapshot and, on success,
-// commits it with a version check: if another commit won the race, the
-// test reruns against the fresh snapshot until the commit applies cleanly.
+// commits it with a version check on the components its route touches:
+// if another commit changed one of them, the test reruns against the
+// fresh snapshot (at most maxConflicts times optimistically, then under a
+// reservation of those components).
 func (e *Engine) Admit(cand topo.Connection) (Decision, error) {
 	return e.AdmitContext(context.Background(), cand)
 }
@@ -479,56 +409,108 @@ func (e *Engine) Admit(cand topo.Connection) (Decision, error) {
 // AdmitContext is Admit with cooperative cancellation; a cancelled call
 // returns the context's error (check with IsCanceled) and commits nothing.
 func (e *Engine) AdmitContext(ctx context.Context, cand topo.Connection) (Decision, error) {
-	for {
-		snap := e.Snapshot()
-		d, ext, err := snap.test(ctx, cand)
-		if err != nil || !d.Admitted {
-			return d, err
-		}
-		if e.commit(snap, cand, ext) {
-			return d, nil
-		}
-		e.conflicts.Add(1)
-	}
+	d, _, err := e.admit(ctx, nil, cand)
+	return d, err
 }
 
 // AdmitWith is Admit on the degraded path: the test runs with the given
 // analyzer (full, non-incremental), and a positive decision commits with
-// no promoted baseline, so the next incremental test rebuilds one against
-// the primary analyzer. Sound whenever the analyzer's bounds are valid
-// upper bounds (Decomposed always is).
+// no promoted baseline, so the touched component rebuilds one against the
+// primary analyzer. Sound whenever the analyzer's bounds are valid upper
+// bounds (Decomposed always is).
 func (e *Engine) AdmitWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	for {
-		snap := e.Snapshot()
-		d, err := snap.testWith(ctx, analyzer, cand)
-		if err != nil || !d.Admitted {
-			return d, err
+	d, _, err := e.admit(ctx, analyzer, cand)
+	return d, err
+}
+
+// admit is the test-and-commit loop behind Admit and AdmitWith; it also
+// reports how many attempts (analyses) the operation took.
+func (e *Engine) admit(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, int, error) {
+	for attempt := 1; ; attempt++ {
+		t := e.begin(attempt, func(st *state) []int { return reach(st, cand.Path) })
+		d, adm, err := t.test(ctx, analyzer, cand)
+		if err == nil && d.Admitted {
+			t.applyAdmit(adm, cand)
+			if e.commit(t) {
+				return d, attempt, nil
+			}
+			e.conflicts.Add(1)
+			continue
 		}
-		if e.commit(snap, cand, nil) {
-			return d, nil
-		}
-		e.conflicts.Add(1)
+		e.unreserve(t.token)
+		return d, attempt, err
 	}
 }
 
-// commit installs snap+cand as the next version iff snap is still current.
-func (e *Engine) commit(snap *Snapshot, cand topo.Connection, ext *analysis.Extension) bool {
+// reach returns the servers an operation on the route can touch: the
+// route's own servers and every server of the components it crosses.
+func reach(st *state, path []int) []int {
+	var out []int
+	for _, s := range path {
+		if s >= 0 && s < len(st.owner) {
+			out = append(out, s)
+		}
+	}
+	for _, c := range st.touched(path) {
+		out = append(out, c.servers...)
+	}
+	return out
+}
+
+// begin opens a transaction for an operation's attempt-th try; scope
+// names the servers the operation can touch in a snapshot. Within its
+// optimistic budget it runs against the current snapshot — after waiting
+// out any reservation of those servers, since it would only conflict with
+// the holder — and past the budget under a reservation of its own.
+func (e *Engine) begin(attempt int, scope func(*state) []int) *txn {
+	reserve := attempt > maxConflicts
+	if !reserve && e.reservations.Load() == 0 {
+		return newTxn(e.Snapshot(), 0)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.snap.Load() != snap {
-		return false
+	for {
+		cur := e.snap.Load()
+		need := scope(&cur.state)
+		free := true
+		for _, s := range need {
+			free = free && e.held[s] == 0
+		}
+		if free && !reserve {
+			return newTxn(cur, 0)
+		}
+		if free {
+			e.tokens++
+			e.reservations.Add(1)
+			for _, s := range need {
+				e.held[s] = e.tokens
+			}
+			return newTxn(cur, e.tokens)
+		}
+		e.cond.Wait()
 	}
-	next := &Snapshot{
-		eng:      e,
-		version:  snap.version + 1,
-		admitted: append(append([]topo.Connection(nil), snap.admitted...), cand),
+}
+
+// unreserve ends a reservation (token 0: none).
+func (e *Engine) unreserve(token uint64) {
+	if token == 0 {
+		return
 	}
-	if ext != nil {
-		next.promoted = ext.Promote()
-		e.epoch.Add(1)
+	e.mu.Lock()
+	e.endReservation(token)
+	e.mu.Unlock()
+}
+
+// endReservation frees the token's servers and wakes waiting operations.
+// Caller must hold e.mu.
+func (e *Engine) endReservation(token uint64) {
+	for s, h := range e.held {
+		if h == token {
+			e.held[s] = 0
+		}
 	}
-	e.snap.Store(next)
-	return true
+	e.reservations.Add(-1)
+	e.cond.Broadcast()
 }
 
 // ReleaseInfo describes how a release was performed.
@@ -546,70 +528,60 @@ type ReleaseInfo struct {
 
 // Release removes an admitted connection by name and reports how. Like
 // Admit, it runs optimistically: the shrink analyzes a snapshot outside
-// any lock and the commit retries on conflict.
+// any lock and the commit retries when the connection's component changed.
 //
-// When the snapshot has a materialized baseline and the removed
-// connection's interference closure covers at most the compaction
-// threshold's fraction of the survivors, the baseline is shrunk in place —
-// the surviving unit traces outside the closure replay bit-identically, so
-// the next admission test extends a warm baseline exactly as if the
-// released connection had never been admitted. Otherwise the release
-// compacts: the new snapshot starts epoch-stamped with no baseline and a
+// When the component has a materialized baseline, the removal leaves it
+// connected, and the removed connection's interference closure covers at
+// most the compaction threshold's fraction of the survivors, the baseline
+// is shrunk in place — the surviving unit traces outside the closure
+// replay bit-identically, so the next admission test extends a warm
+// baseline exactly as if the released connection had never been admitted.
+// Otherwise the release compacts: the component (or each part of a
+// component the removal split) starts epoch-stamped with no baseline and a
 // background build re-promotes one, so the release itself never blocks on
-// a rebuild.
+// a rebuild, and the rebuild covers only that component.
 func (e *Engine) Release(name string) (ReleaseInfo, bool) {
-	for {
-		snap := e.Snapshot()
-		idx := -1
-		for i, conn := range snap.admitted {
-			if conn.Name == name {
-				idx = i
-				break
-			}
+	info, ok, _ := e.release(name)
+	return info, ok
+}
+
+// release is the loop behind Release; it also reports the attempts taken.
+func (e *Engine) release(name string) (ReleaseInfo, bool, int) {
+	scope := func(st *state) []int {
+		if i := st.find(name); i >= 0 {
+			return st.owner[st.admitted[i].Path[0]].servers
 		}
-		if idx < 0 {
-			return ReleaseInfo{}, false
+		return nil
+	}
+	for attempt := 1; ; attempt++ {
+		t := e.begin(attempt, scope)
+		info, found, _ := t.release(context.Background(), name)
+		if !found {
+			e.unreserve(t.token)
+			return ReleaseInfo{}, false, attempt
 		}
-		info := ReleaseInfo{Affected: -1}
-		var promoted *analysis.Baseline
-		if e.inc != nil {
-			if base := snap.cachedBaseline(); base != nil {
-				survivors := append(append([]topo.Connection(nil), snap.admitted[:idx]...), snap.admitted[idx+1:]...)
-				affected, _ := AffectedSet(len(e.servers), survivors, snap.admitted[idx])
-				info.Affected = len(affected)
-				e.observeAffected(len(affected))
-				if float64(len(affected)) <= e.compactionThreshold()*float64(len(survivors)) {
-					if ext, err := base.Shrink(idx); err == nil {
-						promoted = ext.Promote()
-						info.Incremental = true
-					}
-				}
-			}
-		}
-		if e.commitRemove(snap, idx, promoted) {
-			if info.Incremental {
-				e.incRels.Add(1)
-			} else {
-				e.compactRels.Add(1)
-				if e.inc != nil && e.prewarm {
-					e.scheduleWarm()
-				}
-			}
-			return info, true
+		if e.commit(t) {
+			e.countRelease(info)
+			return info, true, attempt
 		}
 		e.conflicts.Add(1)
 	}
 }
 
-// scheduleWarm requests a background re-promotion of the current snapshot's
-// baseline. The engine owns exactly one warmer goroutine at a time: earlier
-// code spawned a detached goroutine per compacted release, so a release
-// racing a concurrent admit on the same component could leave several full
-// analyses running against superseded snapshots, each briefly claiming the
-// lazy slot a fresh test was about to join. The warmer always re-reads the
-// *current* snapshot, and the dirty flag closes the lost-wakeup window: a
-// compaction that lands while a warm is in flight re-runs the loop instead
-// of being dropped.
+// countRelease records how a committed release was absorbed.
+func (e *Engine) countRelease(info ReleaseInfo) {
+	if info.Incremental {
+		e.incRels.Add(1)
+	} else {
+		e.compactRels.Add(1)
+	}
+}
+
+// scheduleWarm requests a background build of the baselines the current
+// snapshot's components lack. The engine owns exactly one warmer goroutine
+// at a time, which always re-reads the *current* snapshot; the dirty flag
+// closes the lost-wakeup window: a compaction that lands while a warm is
+// in flight re-runs the loop instead of being dropped.
 func (e *Engine) scheduleWarm() {
 	e.warmDirty.Store(true)
 	if !e.warmBusy.CompareAndSwap(false, true) {
@@ -618,10 +590,12 @@ func (e *Engine) scheduleWarm() {
 	go func() {
 		for {
 			for e.warmDirty.Swap(false) {
-				if e.inc == nil {
-					break
+				for _, c := range e.Snapshot().components() {
+					if e.inc == nil {
+						break
+					}
+					_, _ = c.baseline(e)
 				}
-				_, _ = e.Snapshot().baseline()
 			}
 			e.warmBusy.Store(false)
 			// Re-check: a scheduleWarm between the last Swap and the
@@ -633,38 +607,6 @@ func (e *Engine) scheduleWarm() {
 	}()
 }
 
-// replaceAdmitted installs a wholesale new admitted set as the next
-// version: an epoch-stamped compaction commit with no baseline, used by
-// ShardedEngine when a cross-shard admission or a rebalance migrates
-// connections between shards. The next incremental test (or a scheduled
-// warm) rebuilds the baseline lazily.
-func (e *Engine) replaceAdmitted(conns []topo.Connection) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.snap.Load()
-	next := &Snapshot{eng: e, version: cur.version + 1}
-	next.admitted = append(next.admitted, conns...)
-	e.snap.Store(next)
-}
-
-// commitRemove installs snap minus index idx as the next version iff snap
-// is still current, carrying the shrunken baseline when one was built.
-func (e *Engine) commitRemove(snap *Snapshot, idx int, promoted *analysis.Baseline) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.snap.Load() != snap {
-		return false
-	}
-	next := &Snapshot{eng: e, version: snap.version + 1, promoted: promoted}
-	next.admitted = append(next.admitted, snap.admitted[:idx]...)
-	next.admitted = append(next.admitted, snap.admitted[idx+1:]...)
-	if promoted != nil {
-		e.epoch.Add(1)
-	}
-	e.snap.Store(next)
-	return true
-}
-
 // Remove releases an admitted connection by name. It is Release without
 // the report, kept for callers that only care whether the name existed.
 func (e *Engine) Remove(name string) bool {
@@ -672,9 +614,10 @@ func (e *Engine) Remove(name string) bool {
 	return ok
 }
 
-// WarmBaseline synchronously materializes the current snapshot's analysis
-// baseline so the next admission test runs incrementally at full speed. It
-// is a no-op when a baseline is already warm (e.g. after an incremental
+// WarmBaseline synchronously materializes every component's analysis
+// baseline (and the empty network's, which a candidate on fresh servers
+// extends) so the next admission test runs incrementally at full speed. It
+// is a no-op for components already warm (e.g. after an incremental
 // release) or when the incremental path is off. Daemons call it after
 // startup pre-admission; benchmarks use it to charge a compacted release
 // with the rebuild it forces.
@@ -682,8 +625,17 @@ func (e *Engine) WarmBaseline() error {
 	if e.inc == nil {
 		return nil
 	}
-	_, err := e.Snapshot().baseline()
-	return err
+	// The connection-free network's baseline is what a candidate on
+	// fresh servers extends.
+	if _, err := e.emptyBaseline(); err != nil {
+		return err
+	}
+	for _, c := range e.Snapshot().components() {
+		if _, err := c.baseline(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Count returns the number of admitted connections.
@@ -691,6 +643,14 @@ func (e *Engine) Count() int { return e.Snapshot().Count() }
 
 // Admitted returns a copy of the currently admitted connections.
 func (e *Engine) Admitted() []topo.Connection { return e.Snapshot().Admitted() }
+
+// ReadView is the replica-read path: the current snapshot's admitted set
+// in global commit order (shared, see Snapshot.Connections) and its
+// version.
+func (e *Engine) ReadView() ([]topo.Connection, uint64) {
+	s := e.Snapshot()
+	return s.Connections(), s.version
+}
 
 // Utilization returns the per-server utilization of the admitted set.
 func (e *Engine) Utilization() []float64 { return e.Snapshot().Utilization() }

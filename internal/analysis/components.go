@@ -5,8 +5,8 @@
 // t consecutively, and AffectedSet closures only spread along shared
 // servers. Connections whose routes live in disjoint server-sharing
 // components therefore have provably independent bounds — the contracted
-// dependency graph never bridges them — which is what ShardedEngine
-// exploits to commit them without contending.
+// dependency graph never bridges them — which is why the admission
+// engine uses components as its commit domains.
 package analysis
 
 import "delaycalc/internal/topo"

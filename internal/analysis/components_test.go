@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"delaycalc/internal/server"
@@ -74,6 +75,78 @@ func TestComponentsOnBuilders(t *testing.T) {
 	for i := range db.Connections {
 		if view.Conn[i] != i/perBlock {
 			t.Fatalf("connection %d labeled %d, want %d", i, view.Conn[i], i/perBlock)
+		}
+	}
+}
+
+// componentCorpus returns block fabrics and multi-component random
+// feedforward networks: the shapes the admission engine splits into
+// commit domains.
+func componentCorpus(t *testing.T) map[string]*topo.Network {
+	t.Helper()
+	nets := map[string]*topo.Network{}
+	for i := 0; i < 20; i++ {
+		blocks, load := 2+i%7, 0.3+0.02*float64(i)
+		db, err := topo.DisjointBlocks(blocks, 3, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[fmt.Sprintf("blocks%d-load%.2f", blocks, load)] = db
+	}
+	for seed, found := int64(1), 0; found < 50; seed++ {
+		if seed > 5000 {
+			t.Fatalf("only %d multi-component random networks in 5000 seeds", found)
+		}
+		net, err := topo.RandomFeedforward(10, 4+int(seed%5), 0.6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Components(net).Count < 2 {
+			continue
+		}
+		nets[fmt.Sprintf("random-seed%d", seed)] = net
+		found++
+	}
+	return nets
+}
+
+// TestComponentAnalysisMatchesWholeNetwork pins the invariant the
+// admission engine's commit domains rest on: analyzing one component's
+// connections (in their order) over the full server list yields bounds
+// bit-identical to the whole network's analysis, for every incremental
+// analyzer, through both the full analysis and a fresh baseline.
+func TestComponentAnalysisMatchesWholeNetwork(t *testing.T) {
+	for name, net := range componentCorpus(t) {
+		view := Components(net)
+		for _, a := range []Incremental{Decomposed{}, Integrated{}} {
+			whole, err := a.Analyze(net)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, a.Name(), err)
+			}
+			for comp := 0; comp < view.Count; comp++ {
+				sub := &topo.Network{Servers: net.Servers}
+				var idx []int
+				for i, c := range view.Conn {
+					if c == comp {
+						sub.Connections = append(sub.Connections, net.Connections[i])
+						idx = append(idx, i)
+					}
+				}
+				res, err := a.Analyze(sub)
+				if err != nil {
+					t.Fatalf("%s/%s component %d: %v", name, a.Name(), comp, err)
+				}
+				base, err := a.NewBaseline(sub)
+				if err != nil {
+					t.Fatalf("%s/%s component %d baseline: %v", name, a.Name(), comp, err)
+				}
+				for k, i := range idx {
+					if res.Bounds[k] != whole.Bounds[i] || base.Bound(k) != whole.Bounds[i] {
+						t.Fatalf("%s/%s: connection %d: whole %v, component analysis %v, component baseline %v",
+							name, a.Name(), i, whole.Bounds[i], res.Bounds[k], base.Bound(k))
+					}
+				}
+			}
 		}
 	}
 }

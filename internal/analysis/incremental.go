@@ -296,6 +296,10 @@ func (b *Baseline) Result() *Result {
 	return exportResult(b.res, b.scale)
 }
 
+// Bound returns connection i's delay bound without copying the result
+// (delays are scale-invariant, so no unit conversion applies).
+func (b *Baseline) Bound(i int) float64 { return b.res.Bounds[i] }
+
 // ValidateExtend validates trial — the baseline's network plus exactly one
 // appended candidate, in caller units — returning exactly the error
 // trial.Validate() would produce, in O(candidate) on the fast path. A nil

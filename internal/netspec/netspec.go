@@ -230,16 +230,60 @@ func ToSpec(net *topo.Network) *Spec {
 			Latency:    s.Latency,
 		})
 	}
-	for _, c := range net.Connections {
-		spec.Connections = append(spec.Connections, ConnectionToSpec(c, net.Servers))
+	if len(net.Connections) > 0 {
+		hops := HopNames(net.Servers)
+		for _, c := range net.Connections {
+			spec.Connections = append(spec.Connections, ConnectionToSpecHops(c, hops))
+		}
 	}
 	return &spec
+}
+
+// HopNames returns, per server, what a path hop through it serializes to:
+// the server's name, or its index when unnamed. Callers converting many
+// connections over one fabric compute it once (see ConnectionToSpecHops).
+func HopNames(servers []server.Server) []json.RawMessage {
+	hops := make([]json.RawMessage, len(servers))
+	for i, s := range servers {
+		if s.Name != "" {
+			hops[i], _ = json.Marshal(s.Name)
+		} else {
+			hops[i], _ = json.Marshal(i)
+		}
+	}
+	return hops
 }
 
 // ConnectionToSpec converts one connection into its serializable form,
 // naming path hops by server name when available. Hops are assumed to be
 // valid indices into servers.
 func ConnectionToSpec(c topo.Connection, servers []server.Server) ConnectionSpec {
+	cs := connectionSpec(c)
+	for _, hop := range c.Path {
+		var raw json.RawMessage
+		if name := servers[hop].Name; name != "" {
+			raw, _ = json.Marshal(name)
+		} else {
+			raw, _ = json.Marshal(hop)
+		}
+		cs.Path = append(cs.Path, raw)
+	}
+	return cs
+}
+
+// ConnectionToSpecHops is ConnectionToSpec over a precomputed HopNames
+// table. The returned path shares the table's entries, which callers must
+// not modify.
+func ConnectionToSpecHops(c topo.Connection, hops []json.RawMessage) ConnectionSpec {
+	cs := connectionSpec(c)
+	for _, hop := range c.Path {
+		cs.Path = append(cs.Path, hops[hop])
+	}
+	return cs
+}
+
+// connectionSpec converts everything but the path.
+func connectionSpec(c topo.Connection) ConnectionSpec {
 	cs := ConnectionSpec{
 		Name:       c.Name,
 		Sigma:      c.Bucket.Sigma,
@@ -255,15 +299,6 @@ func ConnectionToSpec(c topo.Connection, servers []server.Server) ConnectionSpec
 			es.Points = append(es.Points, [2]float64{p.X, p.Y})
 		}
 		cs.Envelope = es
-	}
-	for _, hop := range c.Path {
-		var raw json.RawMessage
-		if name := servers[hop].Name; name != "" {
-			raw, _ = json.Marshal(name)
-		} else {
-			raw, _ = json.Marshal(hop)
-		}
-		cs.Path = append(cs.Path, raw)
 	}
 	return cs
 }

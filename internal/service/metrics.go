@@ -266,7 +266,7 @@ func writeEngineMetrics(w io.Writer, st *State) {
 	fmt.Fprintln(w, "# TYPE delayd_admission_baseline_epoch gauge")
 	gaugeLine(w, "delayd_admission_baseline_epoch", "", float64(stats.BaselineEpoch))
 
-	fmt.Fprintln(w, "# HELP delayd_admission_commit_conflicts_total Admit retries forced by a concurrent commit.")
+	fmt.Fprintln(w, "# HELP delayd_admission_commit_conflicts_total Retries forced by a concurrent commit to a component the operation read.")
 	fmt.Fprintln(w, "# TYPE delayd_admission_commit_conflicts_total counter")
 	gaugeLine(w, "delayd_admission_commit_conflicts_total", "", float64(stats.CommitConflicts))
 
@@ -283,29 +283,9 @@ func writeEngineMetrics(w io.Writer, st *State) {
 	gaugeLine(w, "delayd_admission_affected_connections_sum", "", float64(stats.AffectedSum))
 	gaugeLine(w, "delayd_admission_affected_connections_count", "", float64(stats.AffectedCount))
 
-	fmt.Fprintln(w, "# HELP delayd_admission_shards Engine shards the fabric is partitioned into.")
-	fmt.Fprintln(w, "# TYPE delayd_admission_shards gauge")
-	gaugeLine(w, "delayd_admission_shards", "", float64(stats.Shards))
-
-	fmt.Fprintln(w, "# HELP delayd_admission_cross_shard_commits_total Global epoch-stamped commits (component merges plus rebalances).")
-	fmt.Fprintln(w, "# TYPE delayd_admission_cross_shard_commits_total counter")
-	gaugeLine(w, "delayd_admission_cross_shard_commits_total", "", float64(stats.CrossShardCommits))
-
-	fmt.Fprintln(w, "# HELP delayd_admission_rebalances_total Release-triggered component migrations onto empty shards.")
-	fmt.Fprintln(w, "# TYPE delayd_admission_rebalances_total counter")
-	gaugeLine(w, "delayd_admission_rebalances_total", "", float64(stats.Rebalances))
-
-	fmt.Fprintln(w, "# HELP delayd_admission_shard_admitted Admitted connections per engine shard.")
-	fmt.Fprintln(w, "# TYPE delayd_admission_shard_admitted gauge")
-	for i, sh := range stats.PerShard {
-		gaugeLine(w, "delayd_admission_shard_admitted", fmt.Sprintf(`shard="%d"`, i), float64(sh.Admitted))
-	}
-
-	fmt.Fprintln(w, "# HELP delayd_admission_shard_version Snapshot version per engine shard.")
-	fmt.Fprintln(w, "# TYPE delayd_admission_shard_version gauge")
-	for i, sh := range stats.PerShard {
-		gaugeLine(w, "delayd_admission_shard_version", fmt.Sprintf(`shard="%d"`, i), float64(sh.Version))
-	}
+	fmt.Fprintln(w, "# HELP delayd_admission_components Independent components (commit domains) in the admitted set.")
+	fmt.Fprintln(w, "# TYPE delayd_admission_components gauge")
+	gaugeLine(w, "delayd_admission_components", "", float64(st.Engine().Snapshot().Components()))
 }
 
 // writeAdmissionMetrics renders the current admitted-set gauges.

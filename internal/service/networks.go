@@ -10,10 +10,10 @@ import (
 // serves: a single-tenant deployment is one network under this id.
 const DefaultNetworkID = "default"
 
-// Network is one tenant fabric: an admission state (over a sharded
-// engine), its own analyze cache, and its own request metrics. Tenants
-// never share mutable state, so load on one network cannot perturb
-// another's bounds, cache hit ratio, or metric series.
+// Network is one tenant fabric: an admission state, its own analyze
+// cache, and its own request metrics. Tenants never share mutable state,
+// so load on one network cannot perturb another's bounds, cache hit
+// ratio, or metric series.
 type Network struct {
 	id      string
 	state   *State

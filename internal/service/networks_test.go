@@ -229,20 +229,22 @@ func TestNetworksListing(t *testing.T) {
 	if byID["alpha"].Admitted != 0 || byID["beta"].Admitted != 1 {
 		t.Fatalf("admitted counts: %+v", resp.Networks)
 	}
-	if byID["alpha"].Shards != 1 {
-		t.Fatalf("alpha shards: %+v", byID["alpha"])
+	if byID["alpha"].Components != 0 || byID["beta"].Components != 1 {
+		t.Fatalf("component counts: %+v", resp.Networks)
 	}
 }
 
-// TestCrossShardBatchStress churns a 4-shard engine through the HTTP API
-// with component-local admits, cross-block (hence cross-shard) admits, and
-// releases racing from several goroutines — run under -race in CI.
+// TestCrossShardBatchStress churns the engine through the HTTP API with
+// component-local admits, cross-block admits (component merges), and
+// releases racing from several goroutines — run under -race in CI. The
+// engine's commit domains must end up exactly the admitted set's
+// components.
 func TestCrossShardBatchStress(t *testing.T) {
 	net, err := topo.DisjointBlocks(4, 2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := NewStateShards(net.Servers, analysis.Integrated{}, 4)
+	state, err := NewState(net.Servers, analysis.Integrated{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +270,7 @@ func TestCrossShardBatchStress(t *testing.T) {
 				var ops []string
 				name := fmt.Sprintf("g%dn%d", g, i)
 				if i%6 == 5 && g+1 < workers {
-					// A path spanning two blocks merges their components:
-					// the sharded engine must take the cross-shard commit.
+					// A path spanning two blocks merges their components.
 					ops = append(ops, fmt.Sprintf(
 						`{"op": "admit", "connection": {"name": %q, "sigma": 1, "rho": 0.001, "access_rate": 1, "path": [%q, %q], "deadline": 500}}`,
 						name, local, remote))
@@ -314,11 +315,9 @@ func TestCrossShardBatchStress(t *testing.T) {
 	}
 
 	stats := decode[StatsResponse](t, do(t, srv, "GET", "/v2/networks/default/stats", ""))
-	if stats.Shards != 4 {
-		t.Fatalf("want 4 shards, got %+v", stats)
-	}
-	if stats.CrossShardCommits == 0 {
-		t.Fatal("no cross-shard commits despite block-spanning admissions")
+	admitted := &topo.Network{Servers: net.Servers, Connections: state.Admitted()}
+	if want := analysis.Components(admitted).Count; stats.Components != want {
+		t.Fatalf("engine reports %d components, the admitted set has %d", stats.Components, want)
 	}
 	list := decode[ListResponse](t, do(t, srv, "GET", "/v2/networks/default/connections?limit=1000", ""))
 	if list.Count != stats.Admitted {

@@ -584,15 +584,54 @@ type Bound float64
 
 // MarshalJSON implements json.Marshaler.
 func (b Bound) MarshalJSON() ([]byte, error) {
-	f := float64(b)
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(f)
+	return b.appendJSON(make([]byte, 0, 24)), nil
 }
 
-func toBounds(fs []float64) []Bound {
-	out := make([]Bound, len(fs))
+// appendJSON appends the bound as encoding/json would write the float64
+// (shortest round-trip digits, exponent form below 1e-6 and from 1e21
+// on), or null.
+func (b Bound) appendJSON(dst []byte) []byte {
+	f := float64(b)
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return append(dst, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		// e-07 -> e-7, as encoding/json writes it.
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// Bounds is a bound vector. It encodes in one pass: element by element
+// through Bound's Marshaler, a ~900-connection fabric's admit response
+// costs more to encode than its admission analysis.
+type Bounds []Bound
+
+// MarshalJSON implements json.Marshaler; the bytes equal those of the
+// element-wise encoding.
+func (bs Bounds) MarshalJSON() ([]byte, error) {
+	if bs == nil {
+		return []byte("null"), nil
+	}
+	dst := make([]byte, 0, 20*len(bs)+2)
+	dst = append(dst, '[')
+	for i, b := range bs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = b.appendJSON(dst)
+	}
+	return append(dst, ']'), nil
+}
+
+func toBounds(fs []float64) Bounds {
+	out := make(Bounds, len(fs))
 	for i, f := range fs {
 		out[i] = Bound(f)
 	}
@@ -638,7 +677,7 @@ type AdmitResponse struct {
 	Code       string          `json:"code,omitempty"`
 	Reason     string          `json:"reason,omitempty"`
 	Violations []ViolationSpec `json:"violations,omitempty"`
-	Bounds     []Bound         `json:"bounds,omitempty"`
+	Bounds     Bounds          `json:"bounds,omitempty"`
 	Count      int             `json:"count"`
 	// Degraded marks a decision made against the decomposed fallback bound
 	// after the requested analysis exceeded its soft budget; BoundSource
@@ -652,12 +691,7 @@ func (s *Server) handleAdmit(nw *Network, w http.ResponseWriter, r *http.Request
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	index, err := netspec.ServerIndex(nw.state.Servers())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
-	cand, err := netspec.ConnectionFromSpec(&req.Connection, index)
+	cand, err := netspec.ConnectionFromSpec(&req.Connection, nw.state.ServerIndex())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 		return
@@ -795,11 +829,7 @@ func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, "timeout_seconds must be non-negative")
 		return
 	}
-	index, err := netspec.ServerIndex(nw.state.Servers())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
+	index := nw.state.ServerIndex()
 	// Validate the whole batch up front so a malformed operation 7 fails
 	// the request before operation 0 commits anything.
 	cands := make([]topo.Connection, len(req.Operations))
@@ -847,7 +877,7 @@ func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request
 	defer s.releaseSlot()
 
 	// The envelope runs through the engine's pipelined batch path: one
-	// snapshot commit per shard touched instead of one per operation, and
+	// snapshot commit instead of one per operation, and
 	// no interleaving with concurrent traffic mid-envelope. A hard
 	// deadline therefore sheds the whole envelope with nothing committed
 	// (previously the committed prefix stayed).
@@ -926,10 +956,7 @@ func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request
 // through ApplyBatch. If the soft budget expires while the hard deadline
 // is alive, the envelope reruns on the decomposed fallback — sound
 // because the canceled run committed nothing (dry runs never commit; a
-// single-shard live envelope is atomic). A multi-shard live envelope
-// commits per shard atomically, so it skips the soft budget rather than
-// risk re-applying a shard that already committed; it runs to the hard
-// deadline undegraded.
+// live envelope is atomic).
 func (s *Server) runBatch(ctx context.Context, nw *Network, dryRun bool, cands []topo.Connection, ops []admission.Op, override float64) ([]admission.OpResult, bool, error) {
 	tctx, tm := analysis.WithTimings(ctx)
 	defer s.observeStages(nw, epBatch, tm)
@@ -943,7 +970,7 @@ func (s *Server) runBatch(ctx context.Context, nw *Network, dryRun bool, cands [
 		}
 		return br.Results, nil
 	}
-	canDegrade := degradable(nw.state.Engine().Analyzer()) && (dryRun || nw.state.Shards() == 1)
+	canDegrade := degradable(nw.state.Engine().Analyzer())
 	sctx, cancel, hasSoft := s.softContext(tctx, override)
 	if !hasSoft || !canDegrade {
 		cancel()
@@ -1064,8 +1091,8 @@ func (s *Server) handleList(nw *Network, w http.ResponseWriter, r *http.Request)
 		offset, cursorVersion, hasCursor = off, ver, true
 	}
 
-	// Replica read: the listing is assembled lock-free from the latest
-	// immutable promoted shard snapshots; the header tells the client which
+	// Replica read: the listing pages the latest immutable snapshot's
+	// commit-ordered set without copying it; the header tells the client which
 	// version of the write history it reflects.
 	conns, version, util := nw.state.ReadView()
 	setSnapshotVersion(w, version)
@@ -1094,7 +1121,8 @@ func (s *Server) handleList(nw *Network, w http.ResponseWriter, r *http.Request)
 			writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("no fabric server named %q", name))
 			return
 		}
-		filtered := conns[:0]
+		// A fresh slice: conns is shared with the immutable snapshot.
+		var filtered []topo.Connection
 		for _, c := range conns {
 			for _, hop := range c.Path {
 				if hop == serverIdx {
@@ -1118,11 +1146,7 @@ func (s *Server) handleList(nw *Network, w http.ResponseWriter, r *http.Request)
 		page = page[:limit]
 		resp.NextCursor = encodeCursor(offset+limit, version)
 	}
-	spec := netspec.ToSpec(&topo.Network{Servers: nw.state.Servers(), Connections: page})
-	resp.Connections = spec.Connections
-	if resp.Connections == nil {
-		resp.Connections = []netspec.ConnectionSpec{}
-	}
+	resp.Connections = nw.state.ConnectionSpecs(page)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1164,65 +1188,50 @@ type AffectedBucket struct {
 	Count uint64 `json:"count"`
 }
 
-// ShardStatSpec summarizes one engine shard in the stats body.
-type ShardStatSpec struct {
-	Shard    int          `json:"shard"`
-	Admitted int          `json:"admitted"`
-	Version  uint64       `json:"version"`
-	Tests    StatsCounter `json:"tests"`
-	Releases StatsCounter `json:"releases"`
-}
-
 // StatsResponse is the body of GET /v2/networks/{netid}/stats: the
 // admission engine's counters as a stable JSON schema. Releases.Full
 // counts compacted releases (baseline dropped); AffectedSum/AffectedCount
-// give the mean closure size alongside the histogram. The shard fields
-// are additive: Shards is the configured shard count,
-// CrossShardCommits the number of global epoch-stamped commits (component
-// merges plus rebalances), and PerShard the per-shard breakdown.
+// give the mean closure size alongside the histogram. Components is the
+// number of independent components — the engine's commit domains — in the
+// current snapshot.
 type StatsResponse struct {
-	Analyzer          string           `json:"analyzer"`
-	Incremental       bool             `json:"incremental"`
-	Admitted          int              `json:"admitted"`
-	SnapshotVersion   uint64           `json:"snapshot_version"`
-	Shards            int              `json:"shards"`
-	CrossShardCommits uint64           `json:"cross_shard_commits"`
-	Rebalances        uint64           `json:"rebalances"`
-	BaselineEpoch     uint64           `json:"baseline_epoch"`
-	Tests             StatsCounter     `json:"tests"`
-	Releases          StatsCounter     `json:"releases"`
-	CommitConflicts   uint64           `json:"commit_conflicts"`
-	BatchEnvelopes    uint64           `json:"batch_envelopes"`
-	BatchOps          uint64           `json:"batch_ops"`
-	BatchCommits      uint64           `json:"batch_commits"`
-	Affected          []AffectedBucket `json:"affected_histogram"`
-	AffectedCount     uint64           `json:"affected_count"`
-	AffectedSum       uint64           `json:"affected_sum"`
-	PerShard          []ShardStatSpec  `json:"per_shard,omitempty"`
+	Analyzer        string           `json:"analyzer"`
+	Incremental     bool             `json:"incremental"`
+	Admitted        int              `json:"admitted"`
+	SnapshotVersion uint64           `json:"snapshot_version"`
+	Components      int              `json:"components"`
+	BaselineEpoch   uint64           `json:"baseline_epoch"`
+	Tests           StatsCounter     `json:"tests"`
+	Releases        StatsCounter     `json:"releases"`
+	CommitConflicts uint64           `json:"commit_conflicts"`
+	BatchEnvelopes  uint64           `json:"batch_envelopes"`
+	BatchOps        uint64           `json:"batch_ops"`
+	BatchCommits    uint64           `json:"batch_commits"`
+	Affected        []AffectedBucket `json:"affected_histogram"`
+	AffectedCount   uint64           `json:"affected_count"`
+	AffectedSum     uint64           `json:"affected_sum"`
 }
 
 func (s *Server) handleStats(nw *Network, w http.ResponseWriter, r *http.Request) {
 	eng := nw.state.Engine()
 	st := eng.Stats()
-	conns, version := eng.ReadView()
-	setSnapshotVersion(w, version)
+	snap := eng.Snapshot()
+	setSnapshotVersion(w, snap.Version())
 	resp := StatsResponse{
-		Analyzer:          eng.Analyzer().Name(),
-		Incremental:       eng.Incremental(),
-		Admitted:          len(conns),
-		SnapshotVersion:   version,
-		Shards:            st.Shards,
-		CrossShardCommits: st.CrossShardCommits,
-		Rebalances:        st.Rebalances,
-		BaselineEpoch:     st.BaselineEpoch,
-		Tests:             StatsCounter{Incremental: st.IncrementalTests, Full: st.FullTests},
-		Releases:          StatsCounter{Incremental: st.IncrementalReleases, Full: st.CompactedReleases},
-		CommitConflicts:   st.CommitConflicts,
-		BatchEnvelopes:    st.BatchEnvelopes,
-		BatchOps:          st.BatchOps,
-		BatchCommits:      st.BatchCommits,
-		AffectedCount:     st.AffectedCount,
-		AffectedSum:       st.AffectedSum,
+		Analyzer:        eng.Analyzer().Name(),
+		Incremental:     eng.Incremental(),
+		Admitted:        snap.Count(),
+		SnapshotVersion: snap.Version(),
+		Components:      snap.Components(),
+		BaselineEpoch:   st.BaselineEpoch,
+		Tests:           StatsCounter{Incremental: st.IncrementalTests, Full: st.FullTests},
+		Releases:        StatsCounter{Incremental: st.IncrementalReleases, Full: st.CompactedReleases},
+		CommitConflicts: st.CommitConflicts,
+		BatchEnvelopes:  st.BatchEnvelopes,
+		BatchOps:        st.BatchOps,
+		BatchCommits:    st.BatchCommits,
+		AffectedCount:   st.AffectedCount,
+		AffectedSum:     st.AffectedSum,
 	}
 	bounds := admission.AffectedBucketBounds()
 	cum := uint64(0)
@@ -1231,15 +1240,6 @@ func (s *Server) handleStats(nw *Network, w http.ResponseWriter, r *http.Request
 		resp.Affected = append(resp.Affected, AffectedBucket{LE: Bound(ub), Count: cum})
 	}
 	resp.Affected = append(resp.Affected, AffectedBucket{LE: Bound(math.Inf(1)), Count: st.AffectedCount})
-	for i, sh := range st.PerShard {
-		resp.PerShard = append(resp.PerShard, ShardStatSpec{
-			Shard:    i,
-			Admitted: sh.Admitted,
-			Version:  sh.Version,
-			Tests:    StatsCounter{Incremental: sh.IncrementalTests, Full: sh.FullTests},
-			Releases: StatsCounter{Incremental: sh.IncrementalReleases, Full: sh.CompactedReleases},
-		})
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1248,7 +1248,7 @@ type NetworkInfo struct {
 	ID              string `json:"id"`
 	Default         bool   `json:"default"`
 	Admitted        int    `json:"admitted"`
-	Shards          int    `json:"shards"`
+	Components      int    `json:"components"`
 	SnapshotVersion uint64 `json:"snapshot_version"`
 }
 
@@ -1265,13 +1265,13 @@ func (s *Server) handleNetworks(_ *Network, w http.ResponseWriter, r *http.Reque
 		if !ok {
 			continue
 		}
-		conns, version := nw.state.Engine().ReadView()
+		snap := nw.state.Engine().Snapshot()
 		resp.Networks = append(resp.Networks, NetworkInfo{
 			ID:              id,
 			Default:         id == defID,
-			Admitted:        len(conns),
-			Shards:          nw.state.Shards(),
-			SnapshotVersion: version,
+			Admitted:        snap.Count(),
+			Components:      snap.Components(),
+			SnapshotVersion: snap.Version(),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -1292,12 +1292,12 @@ type AnalyzeRequest struct {
 // AnalyzeResponse reports per-connection delay bounds and per-server
 // backlog bounds. Null entries mark unbounded (unstable) connections.
 type AnalyzeResponse struct {
-	Algorithm string  `json:"algorithm"`
-	Digest    string  `json:"digest"`
-	Cached    bool    `json:"cached"`
-	Bounds    []Bound `json:"bounds"`
-	Backlogs  []Bound `json:"backlogs,omitempty"`
-	MaxBound  Bound   `json:"max_bound"`
+	Algorithm string `json:"algorithm"`
+	Digest    string `json:"digest"`
+	Cached    bool   `json:"cached"`
+	Bounds    Bounds `json:"bounds"`
+	Backlogs  Bounds `json:"backlogs,omitempty"`
+	MaxBound  Bound  `json:"max_bound"`
 	// Degraded marks bounds produced by the decomposed fallback after the
 	// requested analyzer exceeded its soft budget; BoundSource names the
 	// analysis that produced them.

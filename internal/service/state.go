@@ -7,52 +7,61 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 
 	"delaycalc/internal/admission"
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/netspec"
 	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 )
 
 // State is the live admission fabric shared by concurrent HTTP handlers
-// and the CLIs. It is a thin veneer over admission.ShardedEngine: the
-// fabric is partitioned into independent server-sharing components, one
-// engine shard per component group, so disjoint workloads commit without
-// contending; every test analyzes an immutable snapshot OUTSIDE any lock
-// and Admit commits with a version check (retrying on conflict). With one
-// shard (NewState) the behavior is exactly the single admission.Engine.
-// All accessors return copies.
+// and the CLIs. It is a thin veneer over admission.Engine, whose commit
+// domains are the fabric's independent server-sharing components, so
+// disjoint workloads commit without contending; every test analyzes an
+// immutable snapshot OUTSIDE any lock and Admit commits with a version
+// check on the components it touched (retrying on conflict). Accessors
+// return copies unless documented otherwise.
 type State struct {
-	eng     *admission.ShardedEngine
-	servers []server.Server // immutable after construction
+	eng     *admission.Engine
+	servers []server.Server   // immutable after construction
+	index   map[string]int    // server name -> index, immutable
+	hops    []json.RawMessage // netspec.HopNames(servers), immutable
 }
 
-// NewState builds a single-shard admission state over the given fabric —
-// the exact pre-sharding engine behavior.
+// NewState builds an admission state over the given fabric.
 func NewState(servers []server.Server, analyzer analysis.Analyzer) (*State, error) {
-	return NewStateShards(servers, analyzer, 1)
-}
-
-// NewStateShards builds an admission state whose engine is partitioned
-// into the given number of shards. Connections whose components stay
-// disjoint commit on independent shards; admissions that span shards fall
-// back to a global epoch-stamped commit.
-func NewStateShards(servers []server.Server, analyzer analysis.Analyzer, shards int) (*State, error) {
-	eng, err := admission.NewShardedEngine(servers, analyzer, shards)
+	eng, err := admission.NewEngine(servers, analyzer)
 	if err != nil {
 		return nil, err
 	}
 	cp := make([]server.Server, len(servers))
 	copy(cp, servers)
-	return &State{eng: eng, servers: cp}, nil
+	index, err := netspec.ServerIndex(cp)
+	if err != nil {
+		return nil, err
+	}
+	return &State{eng: eng, servers: cp, index: index, hops: netspec.HopNames(cp)}, nil
 }
 
-// Engine exposes the underlying sharded admission engine (used by metrics
-// and tests).
-func (s *State) Engine() *admission.ShardedEngine { return s.eng }
+// Engine exposes the underlying admission engine (used by metrics and
+// tests).
+func (s *State) Engine() *admission.Engine { return s.eng }
 
-// Shards returns the engine's shard count.
-func (s *State) Shards() int { return s.eng.Shards() }
+// ServerIndex returns the fabric's server-name index, built once. The map
+// is shared; callers must not modify it.
+func (s *State) ServerIndex() map[string]int { return s.index }
+
+// ConnectionSpecs converts connections of this fabric to their
+// serializable form, naming hops from a table built once per State.
+func (s *State) ConnectionSpecs(conns []topo.Connection) []netspec.ConnectionSpec {
+	out := make([]netspec.ConnectionSpec, len(conns))
+	for i, c := range conns {
+		out[i] = netspec.ConnectionToSpecHops(c, s.hops)
+	}
+	return out
+}
 
 // ForceFull disables the incremental analysis path; every admission test
 // re-analyzes the whole trial network: the full-analysis oracle for tests
@@ -105,15 +114,14 @@ func (s *State) AdmitWith(ctx context.Context, analyzer analysis.Analyzer, cand 
 // ApplyBatch evaluates a whole mixed admit/release envelope through the
 // engine's pipelined batch path: every operation sees the set as left by
 // its predecessors, decisions are bit-identical to per-op calls, and the
-// envelope commits one snapshot per shard touched instead of one per op.
-// A canceled call (admission.IsCanceled) commits nothing on any shard it
-// had not finished.
+// envelope commits one snapshot instead of one per op. A canceled call
+// (admission.IsCanceled) commits nothing.
 func (s *State) ApplyBatch(ctx context.Context, ops []admission.Op) (*admission.BatchResult, error) {
 	return s.eng.ApplyBatch(ctx, ops)
 }
 
 // TestBatch evaluates a dry-run envelope of candidates against one pinned
-// snapshot per shard: the report is internally consistent even while
+// snapshot: the report is internally consistent even while
 // concurrent admissions commit, and each candidate is judged against the
 // current admitted set alone. Nothing is committed.
 func (s *State) TestBatch(ctx context.Context, cands []topo.Connection) ([]admission.OpResult, error) {
@@ -121,8 +129,7 @@ func (s *State) TestBatch(ctx context.Context, cands []topo.Connection) ([]admis
 }
 
 // TestBatchWith is TestBatch on the degraded path: every candidate runs a
-// full analysis with the explicit analyzer against the same pinned
-// snapshots.
+// full analysis with the explicit analyzer against one pinned snapshot.
 func (s *State) TestBatchWith(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]admission.OpResult, error) {
 	return s.eng.TestBatchWith(ctx, analyzer, cands)
 }
@@ -137,8 +144,8 @@ func (s *State) Release(name string) (admission.ReleaseInfo, bool) {
 	return s.eng.Release(name)
 }
 
-// WarmBaseline synchronously materializes every shard's analysis baseline
-// so the next admission test runs incrementally at full speed.
+// WarmBaseline synchronously materializes every component's analysis
+// baseline so the next admission test runs incrementally at full speed.
 func (s *State) WarmBaseline() error { return s.eng.WarmBaseline() }
 
 // Admitted returns a copy of the currently admitted connections.
@@ -151,29 +158,25 @@ func (s *State) Count() int { return s.eng.Count() }
 func (s *State) Utilization() []float64 { return s.eng.Utilization() }
 
 // Snapshot returns the admitted set, per-server utilization, and count in
-// one consistent view assembled from the latest immutable promoted shard
-// snapshots — the lock-free read-replica path GET endpoints serve from.
+// one consistent view of the latest immutable snapshot — the lock-free
+// read-replica path GET endpoints serve from. The connection slice is
+// shared with the snapshot; callers must not modify its elements.
 func (s *State) Snapshot() (conns []topo.Connection, util []float64, count int) {
-	conns, _, util = s.readView()
+	conns, _, util = s.ReadView()
 	return conns, util, len(conns)
 }
 
-// SnapshotVersion returns the replica-read snapshot version: the sum of
-// every shard's snapshot version, monotone under every commit. GET
-// responses expose it as X-Snapshot-Version so clients can correlate a
-// read with the write history it reflects.
-func (s *State) SnapshotVersion() uint64 { return s.eng.SnapshotVersion() }
+// SnapshotVersion returns the replica-read snapshot version, monotone
+// under every commit. GET responses expose it as X-Snapshot-Version so
+// clients can correlate a read with the write history it reflects.
+func (s *State) SnapshotVersion() uint64 { return s.eng.Snapshot().Version() }
 
-// ReadView returns the admitted set, utilization, and the snapshot
-// version in one replica read.
+// ReadView returns the admitted set (shared with the snapshot, in commit
+// order; callers must not modify its elements), the snapshot version, and
+// the per-server utilization in one replica read, without copying the set.
 func (s *State) ReadView() (conns []topo.Connection, version uint64, util []float64) {
-	return s.readView()
-}
-
-func (s *State) readView() ([]topo.Connection, uint64, []float64) {
-	conns, version := s.eng.ReadView()
-	net := &topo.Network{Servers: s.servers, Connections: conns}
-	return conns, version, net.Utilization()
+	snap := s.eng.Snapshot()
+	return snap.Connections(), snap.Version(), snap.Utilization()
 }
 
 // FillGreedy admits numbered copies of the template until the first

@@ -248,7 +248,7 @@ func RandomFeedforward(nServers, nConns int, util float64, seed int64) (*Network
 // paper tandem (PaperTandem(switches, load)), concatenated into one server
 // list with per-block route offsets and name prefixes. No connection
 // crosses blocks, so the server-sharing graph has exactly `blocks`
-// components — the canonical workload for sharded admission, where
+// components — the canonical workload for per-component admission, where
 // disjoint components must commit without contending.
 func DisjointBlocks(blocks, switches int, load float64) (*Network, error) {
 	if blocks < 1 {
