@@ -5,14 +5,13 @@
 //
 // Usage:
 //
-//	admit [-servers 4] [-deadline 14] [-sigma 1] [-rho 0.02] [-limit 200] [-full]
+//	admit [-servers 4] [-deadline 14] [-sigma 1] [-rho 0.02] [-limit 200]
 //	      [-timeout 0]
 //
 // The greedy fill runs through the same incremental admission engine the
 // delayd daemon serves (docs/INCREMENTAL.md): each admission extends the
-// previous analysis baseline instead of re-analyzing the whole network.
-// -full forces a complete re-analysis per test; the admitted counts are
-// identical either way.
+// previous analysis baseline instead of re-analyzing the whole network,
+// with decisions identical to a complete re-analysis per test.
 package main
 
 import (
@@ -40,7 +39,6 @@ func main() {
 		sigma    = flag.Float64("sigma", 1, "token bucket depth")
 		rho      = flag.Float64("rho", 0.02, "token rate")
 		limit    = flag.Int("limit", 200, "admission attempts")
-		full     = flag.Bool("full", false, "disable incremental analysis (full re-analysis per test)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per analyzer's greedy fill (0 = unlimited)")
 	)
 	flag.Parse()
@@ -68,9 +66,6 @@ func main() {
 		state, err := service.NewState(servers, a)
 		if err != nil {
 			fatal(err)
-		}
-		if *full {
-			state.ForceFull()
 		}
 		ctx, cancel := fillContext(*timeout)
 		n, err := state.FillGreedyContext(ctx, template, *limit)

@@ -235,7 +235,7 @@ func run(logger *slog.Logger, addr, specPath string, tandem int, load float64, a
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("delayd listening", "addr", addr, "algo", algo,
-			"incremental", state.Engine().Incremental(), "components", state.Engine().Snapshot().Components(),
+			"incremental", state.Incremental(), "components", state.Snapshot().Components(),
 			"networks", reg.Len(), "servers", nServers, "admitted", state.Count())
 		errc <- srv.ListenAndServe()
 	}()

@@ -159,8 +159,10 @@ func RandomFeedforward(nServers, nConns int, util float64, seed int64) (*Network
 
 // Admission control.
 
-// AdmissionController tests and admits connections against deadlines.
-type AdmissionController = admission.Controller
+// AdmissionController tests and admits connections against deadlines. It
+// is the goroutine-safe admission engine delayd serves, with decisions
+// identical to a full re-analysis per test.
+type AdmissionController = admission.Engine
 
 // AdmissionDecision reports an admission test's outcome.
 type AdmissionDecision = admission.Decision
@@ -168,7 +170,7 @@ type AdmissionDecision = admission.Decision
 // NewAdmissionController creates a controller over a server fabric using
 // the given analyzer for its admission test.
 func NewAdmissionController(servers []Server, a Analyzer) (*AdmissionController, error) {
-	return admission.New(servers, a)
+	return admission.NewEngine(servers, a)
 }
 
 // Simulation.

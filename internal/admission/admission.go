@@ -6,12 +6,14 @@
 // admitted connections at the same quality of service — the paper's
 // utilization argument.
 //
-// Controller is NOT goroutine-safe: Admit, Remove, and FillGreedy mutate
-// the admitted set, and Admitted, Count, Test, and Utilization read it,
-// all without synchronization. Concurrent callers must serialize access
-// themselves; the canonical way is service.State (internal/service),
-// which wraps a Controller behind a mutex and returns copies, and which
-// both the delayd daemon and the CLIs use.
+// Engine (incremental.go) is the admission controller every caller uses:
+// the delayd daemon and the CLIs through service.State, the root facade's
+// AdmissionController, and the examples. It is goroutine-safe and analyzes
+// only what a candidate can change. Controller is the unsynchronized
+// full-analysis reference: every test re-analyzes the whole trial network,
+// and the differential tests pin Engine's decisions and bounds to it bit
+// for bit. Its methods mutate and read the admitted set without
+// synchronization, so concurrent callers must serialize access themselves.
 package admission
 
 import (
@@ -23,7 +25,8 @@ import (
 	"delaycalc/internal/topo"
 )
 
-// Controller performs admission tests against a fixed server fabric.
+// Controller performs admission tests against a fixed server fabric by
+// full re-analysis: the reference Engine is checked against.
 type Controller struct {
 	servers  []server.Server
 	analyzer analysis.Analyzer

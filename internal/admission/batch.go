@@ -85,68 +85,39 @@ func validateOps(ops []Op) error {
 // (greedy semantics, like the sequential path), decisions and release
 // reports are bit-identical to issuing the operations one by one, and the
 // engine's version advances by at most 1. A concurrent commit to a
-// component the envelope read retries the whole envelope, like Admit's
-// optimistic loop (past maxConflicts under a reservation of everything the
-// envelope can reach). A cancellation (check IsCanceled) aborts the
-// envelope with nothing committed.
+// component the envelope read retries the whole envelope through the same
+// bounded write loop as Admit. A cancellation (check IsCanceled) aborts the
+// envelope with nothing committed and nothing counted.
 func (e *Engine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
+	return e.ApplyBatchWith(ctx, nil, ops)
+}
+
+// ApplyBatchWith is ApplyBatch with an analyzer override (nil: the primary
+// analyzer), the degraded envelope: every admission test runs a full
+// analysis with the given analyzer, and the envelope still commits once.
+func (e *Engine) ApplyBatchWith(ctx context.Context, analyzer analysis.Analyzer, ops []Op) (*BatchResult, error) {
 	if err := validateOps(ops); err != nil {
+		return nil, err
+	}
+	br, _, err := e.write(ctx, analyzer, ops)
+	if err != nil {
 		return nil, err
 	}
 	e.batchEnvs.Add(1)
 	e.batchOps.Add(uint64(len(ops)))
-	// The envelope can touch what its admissions' routes reach and the
-	// components of the connections it releases; connections it admits
-	// itself lie on routes already counted.
-	scope := func(st *state) []int {
-		var out []int
-		for _, op := range ops {
-			if op.Kind == OpAdmit {
-				out = append(out, reach(st, op.Candidate.Path)...)
-			} else if i := st.find(op.Name); i >= 0 {
-				out = append(out, st.owner[st.admitted[i].Path[0]].servers...)
-			}
-		}
-		return out
-	}
-	for attempt := 1; ; attempt++ {
-		t := e.begin(attempt, scope)
-		br := &BatchResult{Results: make([]OpResult, len(ops))}
-		for i, op := range ops {
-			var err error
-			br.Results[i], err = t.apply(ctx, op)
-			if err != nil {
-				e.unreserve(t.token)
-				return nil, err
-			}
-		}
-		if !t.mutated() {
-			e.unreserve(t.token)
-			return br, nil
-		}
-		if e.commit(t) {
-			br.Commits = 1
-			e.batchComs.Add(1)
-			for i, op := range ops {
-				if op.Kind == OpRelease && br.Results[i].Released {
-					e.countRelease(br.Results[i].Release)
-				}
-			}
-			return br, nil
-		}
-		e.conflicts.Add(1)
-	}
+	e.batchComs.Add(uint64(br.Commits))
+	return br, nil
 }
 
-// apply evaluates one envelope operation into the transaction. The only
-// returned error is a cancellation; per-operation failures land in the
-// result.
-func (t *txn) apply(ctx context.Context, op Op) (OpResult, error) {
+// apply evaluates one operation into the transaction; analyzer is the
+// admission test's override (nil: primary). The only returned error is a
+// cancellation; per-operation failures land in the result.
+func (t *txn) apply(ctx context.Context, analyzer analysis.Analyzer, op Op) (OpResult, error) {
 	if op.Kind == OpRelease {
 		info, ok, err := t.release(ctx, op.Name)
 		return OpResult{Released: ok, Release: info}, err
 	}
-	d, adm, err := t.test(ctx, nil, op.Candidate)
+	d, adm, err := t.test(ctx, analyzer, op.Candidate)
 	if err != nil && IsCanceled(err) {
 		return OpResult{}, err
 	}
@@ -163,18 +134,13 @@ func (t *txn) apply(ctx context.Context, op Op) (OpResult, error) {
 // against the current admitted set alone (a dry-run envelope does not
 // accumulate its own hypothetical admissions). Nothing is ever committed.
 func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
-	return e.testBatch(ctx, nil, cands)
+	return e.TestBatchWith(ctx, nil, cands)
 }
 
-// TestBatchWith is TestBatch on the degraded path: every candidate is
-// evaluated with the explicit analyzer (full analysis, no incremental
-// state) against one pinned snapshot.
+// TestBatchWith is TestBatch with an analyzer override (nil: the primary
+// analyzer); the degraded path evaluates every candidate with a full
+// analysis by the given analyzer against one pinned snapshot.
 func (e *Engine) TestBatchWith(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]OpResult, error) {
-	return e.testBatch(ctx, analyzer, cands)
-}
-
-// testBatch runs the pinned-snapshot dry evaluation.
-func (e *Engine) testBatch(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]OpResult, error) {
 	snap := e.Snapshot()
 	out := make([]OpResult, len(cands))
 	for i, cand := range cands {

@@ -57,8 +57,8 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 	// that a race against this test's own schedule. Pin both engines to
 	// the deterministic no-warm configuration so the info comparison below
 	// is exact; decisions are baseline-independent either way.
-	seqEng.SetBackgroundPromotion(false)
-	batchEng.SetBackgroundPromotion(false)
+	seqEng.prewarm = false
+	batchEng.prewarm = false
 	ops := randomOps(net, seed, 3*len(net.Connections))
 	rng := rand.New(rand.NewSource(seed * 31))
 	ctx := context.Background()
@@ -267,75 +267,4 @@ func TestTestBatchPinnedSnapshot(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestSetCompactionThresholdRace is the -race regression for the
-// previously unsynchronized compactFrac write: flipping the threshold
-// while releases read it concurrently must be clean, with one writer and
-// with writers releasing in disjoint components at once.
-func TestSetCompactionThresholdRace(t *testing.T) {
-	net := disjointTandem(t, 8)
-	run := func(t *testing.T, admit func(topo.Connection) error, release func(string) bool, setThreshold func(float64)) {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				setThreshold(float64(i%2) * DefaultCompactionThreshold * 2)
-			}
-		}()
-		for i := 0; i < 50; i++ {
-			c := net.Connections[i%len(net.Connections)]
-			c.Name = fmt.Sprintf("r%d", i)
-			if err := admit(c); err != nil {
-				t.Fatal(err)
-			}
-			release(c.Name)
-		}
-		close(stop)
-		wg.Wait()
-	}
-	t.Run("engine", func(t *testing.T) {
-		eng, err := NewEngine(net.Servers, analysis.Integrated{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(t,
-			func(c topo.Connection) error { _, err := eng.Admit(c); return err },
-			eng.Remove,
-			eng.SetCompactionThreshold)
-	})
-	t.Run("components", func(t *testing.T) {
-		eng, err := NewEngine(net.Servers, analysis.Integrated{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var writers sync.WaitGroup
-		for w := 0; w < 2; w++ {
-			writers.Add(1)
-			go func(w int) {
-				defer writers.Done()
-				for i := 0; i < 25; i++ {
-					c := net.Connections[(2*i+w)%len(net.Connections)]
-					c.Name = fmt.Sprintf("w%d-%d", w, i)
-					if _, err := eng.Admit(c); err != nil {
-						t.Error(err)
-						return
-					}
-					eng.Remove(c.Name)
-				}
-			}(w)
-		}
-		run(t,
-			func(c topo.Connection) error { _, err := eng.Admit(c); return err },
-			eng.Remove,
-			eng.SetCompactionThreshold)
-		writers.Wait()
-	})
 }

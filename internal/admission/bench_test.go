@@ -155,8 +155,8 @@ func churnEngine(tb testing.TB, net *topo.Network, cand topo.Connection, invalid
 	tb.Helper()
 	eng := warmEngine(tb, net, cand)
 	if invalidating {
-		eng.SetCompactionThreshold(-1)
-		eng.SetBackgroundPromotion(false)
+		eng.compactFrac = -1
+		eng.prewarm = false
 	}
 	d, err := eng.Admit(cand)
 	if err != nil || !d.Admitted {

@@ -207,8 +207,8 @@ func TestReleaseCompactionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetCompactionThreshold(-1)
-	eng.SetBackgroundPromotion(false)
+	eng.compactFrac = -1
+	eng.prewarm = false
 	for _, c := range net.Connections[:5] {
 		if _, err := eng.Admit(c); err != nil {
 			t.Fatal(err)

@@ -45,22 +45,15 @@ type component struct {
 }
 
 // baseline returns the component's analysis baseline, building it (one
-// full analysis of the component) at most once. The component is analyzed
-// over the full server list, so server indices — and bounds — match the
-// whole network's.
+// full analysis of the component) at most once; only engines with an
+// incremental path call it. The component is analyzed over the full server
+// list, so server indices — and bounds — match the whole network's.
 func (c *component) baseline(e *Engine) (*analysis.Baseline, error) {
 	if c.promoted != nil {
 		return c.promoted, nil
 	}
 	c.baseOnce.Do(func() {
-		// inc can be nil here when ForceFull raced a stale warm goroutine;
-		// the guard keeps the component baseline-less instead of panicking.
-		inc := e.inc
-		if inc == nil {
-			c.baseErr = fmt.Errorf("admission: incremental path disabled")
-			return
-		}
-		c.base, c.baseErr = inc.NewBaseline(&topo.Network{Servers: e.servers, Connections: c.conns})
+		c.base, c.baseErr = e.inc.NewBaseline(&topo.Network{Servers: e.servers, Connections: c.conns})
 		if c.baseErr == nil {
 			e.epoch.Add(1)
 			c.baseReady.Store(true)

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -481,9 +482,11 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 }
 
 // TestRetryBoundedUnderContention hammers one component from many
-// goroutines: every operation must finish within maxConflicts+1 attempts
-// (the last under a reservation of its component), and the conflict
-// counter must count every retry.
+// goroutines with admissions, releases and batch envelopes, all through
+// the engine's one write loop: every operation — an envelope counts as one
+// — must finish within maxConflicts+1 attempts (the last under a
+// reservation of what it can reach), and the conflict counter must count
+// every retry.
 func TestRetryBoundedUnderContention(t *testing.T) {
 	net, err := topo.PaperTandem(3, 0.2)
 	if err != nil {
@@ -500,7 +503,16 @@ func TestRetryBoundedUnderContention(t *testing.T) {
 		worst   int
 		wg      sync.WaitGroup
 	)
-	note := func(attempts int) {
+	write := func(ops ...Op) {
+		br, attempts, err := eng.write(context.Background(), nil, ops)
+		if err == nil {
+			for _, r := range br.Results {
+				err = errors.Join(err, r.Err)
+			}
+		}
+		if err != nil {
+			t.Errorf("%+v: %v", ops, err)
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		retries += attempts - 1
@@ -514,15 +526,15 @@ func TestRetryBoundedUnderContention(t *testing.T) {
 				c := net.Connections[i%len(net.Connections)]
 				c.Name = fmt.Sprintf("w%d-%d", g, i)
 				c.Deadline = 1000
-				_, attempts, err := eng.admit(context.Background(), nil, c)
-				if err != nil {
-					t.Errorf("admit %s: %v", c.Name, err)
-					return
-				}
-				note(attempts)
+				write(Op{Kind: OpAdmit, Candidate: c})
 				if i%2 == 1 {
-					_, _, attempts := eng.release(fmt.Sprintf("w%d-%d", g, i-1))
-					note(attempts)
+					write(Op{Kind: OpRelease, Name: fmt.Sprintf("w%d-%d", g, i-1)})
+				}
+				if i%3 == 2 {
+					// One envelope swaps the connection for a copy.
+					swap := c
+					swap.Name += "b"
+					write(Op{Kind: OpAdmit, Candidate: swap}, Op{Kind: OpRelease, Name: c.Name})
 				}
 			}
 		}(g)
@@ -551,7 +563,7 @@ func TestReleaseWarmRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetCompactionThreshold(-1) // every release compacts and schedules a warm
+	eng.compactFrac = -1 // every release compacts and schedules a warm
 
 	const workers = 4
 	var wg sync.WaitGroup

@@ -124,8 +124,9 @@ type Stats struct {
 	// CommitConflicts counts retries forced by a concurrent commit to a
 	// component the operation read.
 	CommitConflicts uint64
-	// BatchEnvelopes counts ApplyBatch calls, BatchOps the operations they
-	// carried, and BatchCommits the snapshot commits they installed. A
+	// BatchEnvelopes counts the envelopes ApplyBatch and ApplyBatchWith
+	// finished (a cancelled one counts nowhere), BatchOps the operations
+	// they carried, and BatchCommits the snapshot commits they installed. A
 	// mutating envelope commits exactly once regardless of its size
 	// (BatchCommits <= BatchEnvelopes always; strictly fewer when some
 	// envelopes left the admitted set untouched), which is the pipelining
@@ -152,15 +153,14 @@ func AffectedBucketBounds() []float64 {
 type Engine struct {
 	servers  []server.Server
 	analyzer analysis.Analyzer
-	inc      analysis.Incremental // nil when unsupported or force-full
-	// compactFrac holds the float64 bits of the affected-set fraction above
-	// which Release stops shrinking and compacts. It is atomic (not plain
-	// startup configuration like prewarm) because SetCompactionThreshold is
-	// documented as callable while releases run concurrently.
-	compactFrac atomic.Uint64
-	// prewarm rebuilds compacted baselines in the background; startup
-	// configuration, like ForceFull.
-	prewarm bool
+	inc      analysis.Incremental // nil when the analyzer has no incremental path
+	// compactFrac is the affected-set fraction above which a release
+	// compacts instead of shrinking (see DefaultCompactionThreshold;
+	// negative never shrinks, >= 1 always does), and prewarm rebuilds
+	// compacted baselines in the background. Both are fixed at
+	// construction; in-package tests set them before the first operation.
+	compactFrac float64
+	prewarm     bool
 	// mu serializes snapshot swaps and server reservations only; cond
 	// wakes operations waiting for a reservation to end. held maps each
 	// server to the reservation holding it (0: free) and tokens numbers
@@ -225,30 +225,19 @@ func NewEngine(servers []server.Server, analyzer analysis.Analyzer) (*Engine, er
 		return nil, fmt.Errorf("admission: %w", err)
 	}
 	e := &Engine{
-		servers:   cp,
-		analyzer:  analyzer,
-		prewarm:   true,
-		held:      make([]uint64, len(cp)),
-		affBucket: make([]atomic.Uint64, len(affectedBuckets)+1),
+		servers:     cp,
+		analyzer:    analyzer,
+		compactFrac: DefaultCompactionThreshold,
+		prewarm:     true,
+		held:        make([]uint64, len(cp)),
+		affBucket:   make([]atomic.Uint64, len(affectedBuckets)+1),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.compactFrac.Store(math.Float64bits(DefaultCompactionThreshold))
 	if inc, ok := analyzer.(analysis.Incremental); ok {
 		e.inc = inc
 	}
 	e.snap.Store(&Snapshot{eng: e, state: state{owner: make([]*component, len(cp))}})
 	return e, nil
-}
-
-// ForceFull disables the incremental path (every test re-analyzes the
-// whole trial network). Call it before serving traffic; it is not meant
-// to be flipped concurrently with tests.
-func (e *Engine) ForceFull() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.inc = nil
-	cur := e.snap.Load()
-	e.snap.Store(&Snapshot{eng: e, version: cur.version + 1, state: cur.state})
 }
 
 // Analyzer returns the analyzer admission tests run.
@@ -263,26 +252,6 @@ func (e *Engine) Servers() []server.Server {
 	copy(cp, e.servers)
 	return cp
 }
-
-// SetCompactionThreshold sets the affected-set fraction above which a
-// release compacts instead of shrinking (see DefaultCompactionThreshold).
-// Negative disables incremental release entirely; >= 1 always shrinks.
-// Safe to call while releases run concurrently: the threshold is stored
-// atomically and each release reads it once.
-func (e *Engine) SetCompactionThreshold(frac float64) {
-	e.compactFrac.Store(math.Float64bits(frac))
-}
-
-// compactionThreshold reads the release compaction threshold.
-func (e *Engine) compactionThreshold() float64 {
-	return math.Float64frombits(e.compactFrac.Load())
-}
-
-// SetBackgroundPromotion toggles the background baseline rebuild after a
-// compacting release. On by default; benchmarks of the invalidating path
-// turn it off so the rebuild cost lands on the measured request instead of
-// a racing goroutine. Call it before serving traffic, like ForceFull.
-func (e *Engine) SetBackgroundPromotion(on bool) { e.prewarm = on }
 
 // Stats copies the engine's counters.
 func (e *Engine) Stats() Stats {
@@ -389,9 +358,10 @@ func (e *Engine) TestContext(ctx context.Context, cand topo.Connection) (Decisio
 	return e.Snapshot().TestContext(ctx, cand)
 }
 
-// TestWith runs a full admission test with an explicit analyzer against
-// the current snapshot — the serving layer's degraded path. The decision
-// is as sound as the analyzer's bounds; it is never committed here.
+// TestWith is TestContext with an analyzer override (nil: the primary
+// analyzer). An explicit analyzer runs a full admission test against the
+// current snapshot — the serving layer's degraded path; the decision is as
+// sound as the analyzer's bounds and is never committed here.
 func (e *Engine) TestWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
 	d, _, err := newTxn(e.Snapshot(), 0).test(ctx, analyzer, cand)
 	return d, err
@@ -400,45 +370,81 @@ func (e *Engine) TestWith(ctx context.Context, analyzer analysis.Analyzer, cand 
 // Admit tests the candidate against the current snapshot and, on success,
 // commits it with a version check on the components its route touches:
 // if another commit changed one of them, the test reruns against the
-// fresh snapshot (at most maxConflicts times optimistically, then under a
-// reservation of those components).
+// fresh snapshot (see write).
 func (e *Engine) Admit(cand topo.Connection) (Decision, error) {
-	return e.AdmitContext(context.Background(), cand)
+	return e.AdmitWith(context.Background(), nil, cand)
 }
 
 // AdmitContext is Admit with cooperative cancellation; a cancelled call
 // returns the context's error (check with IsCanceled) and commits nothing.
 func (e *Engine) AdmitContext(ctx context.Context, cand topo.Connection) (Decision, error) {
-	d, _, err := e.admit(ctx, nil, cand)
-	return d, err
+	return e.AdmitWith(ctx, nil, cand)
 }
 
-// AdmitWith is Admit on the degraded path: the test runs with the given
-// analyzer (full, non-incremental), and a positive decision commits with
-// no promoted baseline, so the touched component rebuilds one against the
-// primary analyzer. Sound whenever the analyzer's bounds are valid upper
-// bounds (Decomposed always is).
+// AdmitWith is AdmitContext with an analyzer override (nil: the primary
+// analyzer). The serving layer's degraded path passes the decomposed
+// analyzer: the test runs a full analysis with it, and a positive decision
+// commits with no promoted baseline, so the touched component rebuilds one
+// against the primary analyzer. Sound whenever the analyzer's bounds are
+// valid upper bounds (Decomposed always is).
 func (e *Engine) AdmitWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	d, _, err := e.admit(ctx, analyzer, cand)
-	return d, err
+	br, _, err := e.write(ctx, analyzer, []Op{{Kind: OpAdmit, Candidate: cand}})
+	if err != nil {
+		return Decision{}, err
+	}
+	return br.Results[0].Decision, br.Results[0].Err
 }
 
-// admit is the test-and-commit loop behind Admit and AdmitWith; it also
-// reports how many attempts (analyses) the operation took.
-func (e *Engine) admit(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, int, error) {
-	for attempt := 1; ; attempt++ {
-		t := e.begin(attempt, func(st *state) []int { return reach(st, cand.Path) })
-		d, adm, err := t.test(ctx, analyzer, cand)
-		if err == nil && d.Admitted {
-			t.applyAdmit(adm, cand)
-			if e.commit(t) {
-				return d, attempt, nil
+// write is the engine's one write path, behind every admission, release
+// and batch envelope: it evaluates ops in order into one transaction
+// against the current snapshot and commits their mutations as one new
+// version, checked against every component they read. When a concurrent
+// commit changed one of those, all of ops rerun against the fresh
+// snapshot — at most maxConflicts times optimistically, then under a
+// reservation of every server they can reach — so an operation runs at
+// most maxConflicts+1 analyses. analyzer nil selects the primary analyzer;
+// an explicit one runs every admission test as a full analysis with it.
+// write reports the attempts taken; its only error is a cancellation,
+// which commits nothing.
+func (e *Engine) write(ctx context.Context, analyzer analysis.Analyzer, ops []Op) (*BatchResult, int, error) {
+	// The operations can touch what their admissions' routes reach and the
+	// components of the connections they release; connections admitted by
+	// an earlier operation lie on routes already counted.
+	scope := func(st *state) []int {
+		var out []int
+		for _, op := range ops {
+			if op.Kind == OpAdmit {
+				out = append(out, reach(st, op.Candidate.Path)...)
+			} else if i := st.find(op.Name); i >= 0 {
+				out = append(out, st.owner[st.admitted[i].Path[0]].servers...)
 			}
-			e.conflicts.Add(1)
-			continue
 		}
-		e.unreserve(t.token)
-		return d, attempt, err
+		return out
+	}
+	for attempt := 1; ; attempt++ {
+		t := e.begin(attempt, scope)
+		br := &BatchResult{Results: make([]OpResult, len(ops))}
+		for i, op := range ops {
+			var err error
+			if br.Results[i], err = t.apply(ctx, analyzer, op); err != nil {
+				e.unreserve(t.token)
+				return nil, attempt, err
+			}
+		}
+		if !t.mutated() {
+			e.unreserve(t.token)
+			return br, attempt, nil
+		}
+		if e.commit(t) {
+			br.Commits = 1
+			for i, op := range ops {
+				if op.Kind == OpRelease && br.Results[i].Released {
+					e.countRelease(br.Results[i].Release)
+				}
+			}
+			return br, attempt, nil
+		}
+		e.conflicts.Add(1)
 	}
 }
 
@@ -527,8 +533,9 @@ type ReleaseInfo struct {
 }
 
 // Release removes an admitted connection by name and reports how. Like
-// Admit, it runs optimistically: the shrink analyzes a snapshot outside
-// any lock and the commit retries when the connection's component changed.
+// Admit, it runs through the write path: the shrink analyzes a snapshot
+// outside any lock and the commit retries when the connection's component
+// changed.
 //
 // When the component has a materialized baseline, the removal leaves it
 // connected, and the removed connection's interference closure covers at
@@ -541,31 +548,8 @@ type ReleaseInfo struct {
 // background build re-promotes one, so the release itself never blocks on
 // a rebuild, and the rebuild covers only that component.
 func (e *Engine) Release(name string) (ReleaseInfo, bool) {
-	info, ok, _ := e.release(name)
-	return info, ok
-}
-
-// release is the loop behind Release; it also reports the attempts taken.
-func (e *Engine) release(name string) (ReleaseInfo, bool, int) {
-	scope := func(st *state) []int {
-		if i := st.find(name); i >= 0 {
-			return st.owner[st.admitted[i].Path[0]].servers
-		}
-		return nil
-	}
-	for attempt := 1; ; attempt++ {
-		t := e.begin(attempt, scope)
-		info, found, _ := t.release(context.Background(), name)
-		if !found {
-			e.unreserve(t.token)
-			return ReleaseInfo{}, false, attempt
-		}
-		if e.commit(t) {
-			e.countRelease(info)
-			return info, true, attempt
-		}
-		e.conflicts.Add(1)
-	}
+	br, _, _ := e.write(context.Background(), nil, []Op{{Kind: OpRelease, Name: name}})
+	return br.Results[0].Release, br.Results[0].Released
 }
 
 // countRelease records how a committed release was absorbed.
@@ -591,9 +575,6 @@ func (e *Engine) scheduleWarm() {
 		for {
 			for e.warmDirty.Swap(false) {
 				for _, c := range e.Snapshot().components() {
-					if e.inc == nil {
-						break
-					}
 					_, _ = c.baseline(e)
 				}
 			}

@@ -328,7 +328,7 @@ func (t *txn) release(ctx context.Context, name string) (ReleaseInfo, bool, erro
 		e.observeAffected(len(affected))
 		// The threshold compares the closure with every survivor of the
 		// snapshot, as a whole-network baseline would.
-		if rest != nil && float64(len(affected)) <= e.compactionThreshold()*float64(len(v.admitted)-1) {
+		if rest != nil && float64(len(affected)) <= e.compactFrac*float64(len(v.admitted)-1) {
 			ext, err := base.ShrinkContext(ctx, li)
 			if err != nil && IsCanceled(err) {
 				return ReleaseInfo{}, false, err

@@ -381,11 +381,11 @@ func AdmissionCapacity(n int, deadlines []float64, limit int) ([]textplot.Series
 			Deadline:   deadline,
 		}
 		for i, a := range analyzers {
-			ctrl, err := admission.New(servers, a)
+			eng, err := admission.NewEngine(servers, a)
 			if err != nil {
 				return nil, err
 			}
-			count, err := ctrl.FillGreedy(template, limit)
+			count, err := eng.FillGreedy(template, limit)
 			if err != nil {
 				return nil, err
 			}

@@ -40,7 +40,7 @@ func TestRemovedSpellingsGone(t *testing.T) {
 	if w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody); w.Code != http.StatusOK {
 		t.Fatalf("admit: %d %s", w.Code, w.Body)
 	}
-	count, version := srv.State().Count(), srv.State().SnapshotVersion()
+	count, version := srv.State().Count(), srv.State().Snapshot().Version()
 
 	for _, c := range removedSpellingCases {
 		for _, method := range []string{"POST", "DELETE"} {
@@ -61,9 +61,9 @@ func TestRemovedSpellingsGone(t *testing.T) {
 			}
 		}
 	}
-	if srv.State().Count() != count || srv.State().SnapshotVersion() != version {
+	if srv.State().Count() != count || srv.State().Snapshot().Version() != version {
 		t.Fatalf("removed spellings changed state: count %d -> %d, version %d -> %d",
-			count, srv.State().Count(), version, srv.State().SnapshotVersion())
+			count, srv.State().Count(), version, srv.State().Snapshot().Version())
 	}
 }
 

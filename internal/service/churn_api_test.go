@@ -286,7 +286,7 @@ func TestListPagination(t *testing.T) {
 		"/v2/networks/default/connections?limit=-1",
 		"/v2/networks/default/connections?limit=x",
 		"/v2/networks/default/connections?cursor=%21%21",
-		"/v2/networks/default/connections?cursor=" + encodeCursor(3, srv.State().SnapshotVersion())[:1],
+		"/v2/networks/default/connections?cursor=" + encodeCursor(3, srv.State().Snapshot().Version())[:1],
 	} {
 		if w := do(t, srv, "GET", path, ""); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", path, w.Code)
@@ -294,7 +294,7 @@ func TestListPagination(t *testing.T) {
 	}
 
 	// A cursor past the end is an empty page, not an error.
-	w := do(t, srv, "GET", "/v2/networks/default/connections?limit=2&cursor="+encodeCursor(99, srv.State().SnapshotVersion()), "")
+	w := do(t, srv, "GET", "/v2/networks/default/connections?limit=2&cursor="+encodeCursor(99, srv.State().Snapshot().Version()), "")
 	past := decode[ListResponse](t, w)
 	if w.Code != http.StatusOK || len(past.Connections) != 0 || past.NextCursor != "" {
 		t.Fatalf("past-the-end page: %d %+v", w.Code, past)

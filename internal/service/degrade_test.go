@@ -152,9 +152,11 @@ func TestAdmitDegradesToDecomposed(t *testing.T) {
 }
 
 // TestBatchAdmitDegrades runs a batch under an instant soft budget: every
-// admit decision is marked degraded and the committed count matches.
+// admit decision is marked degraded, the committed count matches, and the
+// degraded envelope still commits once, like every other live envelope.
 func TestBatchAdmitDegrades(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
+	before := decode[StatsResponse](t, do(t, srv, "GET", "/v2/networks/default/stats", ""))
 	conn := connectionOf(admitBody)
 	conn2 := strings.Replace(conn, `"video"`, `"audio"`, 1)
 	body := fmt.Sprintf(`{"operations": [{"op": "admit", "connection": %s}, {"op": "admit", "connection": %s}]}`, conn, conn2)
@@ -170,6 +172,16 @@ func TestBatchAdmitDegrades(t *testing.T) {
 		if item.Decision == nil || !item.Decision.Degraded {
 			t.Errorf("batch item %d not marked degraded: %+v", i, item)
 		}
+	}
+	after := decode[StatsResponse](t, do(t, srv, "GET", "/v2/networks/default/stats", ""))
+	if delta := after.SnapshotVersion - before.SnapshotVersion; delta != 1 {
+		t.Errorf("degraded envelope advanced the snapshot version by %d, want 1", delta)
+	}
+	if commits := after.BatchCommits - before.BatchCommits; commits != 1 {
+		t.Errorf("degraded envelope counted %d batch commits, want 1", commits)
+	}
+	if got := srv.Metrics().Degraded(); got != 1 {
+		t.Errorf("degraded counter = %d, want 1", got)
 	}
 }
 

@@ -242,12 +242,12 @@ func writeCacheMetrics(w io.Writer, c *Cache) {
 // tests ran incrementally versus as full re-analyses, how often an Admit
 // commit lost the version race, and the affected-set size histogram (how
 // many existing connections each test's incremental closure touched).
-func writeEngineMetrics(w io.Writer, st *State) {
-	stats := st.Engine().Stats()
+func writeEngineMetrics(w io.Writer, st *State, snap *admission.Snapshot) {
+	stats := st.Stats()
 	fmt.Fprintln(w, "# HELP delayd_admission_incremental_enabled Whether the incremental analysis path is active.")
 	fmt.Fprintln(w, "# TYPE delayd_admission_incremental_enabled gauge")
 	enabled := 0.0
-	if st.Engine().Incremental() {
+	if st.Incremental() {
 		enabled = 1
 	}
 	gaugeLine(w, "delayd_admission_incremental_enabled", "", enabled)
@@ -285,12 +285,12 @@ func writeEngineMetrics(w io.Writer, st *State) {
 
 	fmt.Fprintln(w, "# HELP delayd_admission_components Independent components (commit domains) in the admitted set.")
 	fmt.Fprintln(w, "# TYPE delayd_admission_components gauge")
-	gaugeLine(w, "delayd_admission_components", "", float64(st.Engine().Snapshot().Components()))
+	gaugeLine(w, "delayd_admission_components", "", float64(snap.Components()))
 }
 
-// writeAdmissionMetrics renders the current admitted-set gauges.
-func writeAdmissionMetrics(w io.Writer, st *State) {
-	_, util, count := st.Snapshot()
+// writeAdmissionMetrics renders the admitted-set gauges of the snapshot.
+func writeAdmissionMetrics(w io.Writer, st *State, snap *admission.Snapshot) {
+	count, util := snap.Count(), snap.Utilization()
 	servers := st.Servers()
 	fmt.Fprintln(w, "# HELP delayd_admitted_connections Currently admitted connections.")
 	fmt.Fprintln(w, "# TYPE delayd_admitted_connections gauge")

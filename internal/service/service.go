@@ -504,77 +504,42 @@ func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timing
 	)
 }
 
-// runAnalysis executes one stateless analysis under the degradation
-// policy: the requested analyzer runs under the soft budget; if the budget
-// expires while the hard deadline is still alive, the always-sound
-// decomposed fallback runs in its place and degraded is reported true. An
-// error for which admission.IsCanceled holds means the hard deadline
-// passed and the request must be shed.
-func (s *Server) runAnalysis(ctx context.Context, nw *Network, endpoint string, analyzer analysis.Analyzer, net *topo.Network, override float64) (res *analysis.Result, degraded bool, err error) {
+// degrade runs one analysis under the serving degradation policy. run
+// executes it under the context it is handed, with an analyzer override
+// (nil: the requested analyzer). With a soft budget and a degradable
+// analyzer, run first gets the soft-budget context; if that budget expires
+// while the hard deadline is still alive, run reruns with the always-sound
+// decomposed fallback and degraded is reported true. An error for which
+// admission.IsCanceled holds means the hard deadline passed and the
+// request must be shed. Both runs' stage timings go to the network's
+// metrics; attrs extend the degradation log line.
+//
+// Degrading an admission is sound in the conservative direction: the
+// decomposed bound dominates the integrated bound, so a degraded decision
+// may reject a candidate the integrated analysis would have admitted but
+// never the reverse. The rerun starts clean because a cancelled run
+// commits nothing.
+func (s *Server) degrade(ctx context.Context, nw *Network, endpoint string, analyzer analysis.Analyzer, override float64, run func(context.Context, analysis.Analyzer) error, attrs ...any) (degraded bool, err error) {
 	tctx, tm := analysis.WithTimings(ctx)
 	defer s.observeStages(nw, endpoint, tm)
 	sctx, cancel, hasSoft := s.softContext(tctx, override)
 	if !hasSoft || !degradable(analyzer) {
 		cancel()
-		res, err = analysis.AnalyzeWithContext(tctx, analyzer, net)
-		return res, false, err
+		return false, run(tctx, nil)
 	}
-	res, err = analysis.AnalyzeWithContext(sctx, analyzer, net)
-	cancel()
-	if err == nil {
-		return res, false, nil
-	}
-	if !admission.IsCanceled(err) || ctx.Err() != nil {
-		// A real analyzer error, or the hard deadline itself: no fallback.
-		return nil, false, err
-	}
-	nw.metrics.DegradedServed()
-	s.log.Warn("analysis degraded to decomposed bound",
-		"endpoint", endpoint, "network", nw.id, "analyzer", analyzer.Name())
-	res, err = analysis.AnalyzeWithContext(tctx, fallbackAnalyzer, net)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, true, nil
-}
-
-// runAdmission executes one admission test/commit under the same
-// degradation policy as runAnalysis. Degrading an admission is sound in
-// the conservative direction: the decomposed bound dominates the
-// integrated bound, so a degraded decision may reject a candidate the
-// integrated analysis would have admitted but never the reverse.
-func (s *Server) runAdmission(ctx context.Context, nw *Network, endpoint string, dryRun bool, cand topo.Connection, override float64) (d admission.Decision, degraded bool, err error) {
-	tctx, tm := analysis.WithTimings(ctx)
-	defer s.observeStages(nw, endpoint, tm)
-	run := func(runCtx context.Context) (admission.Decision, error) {
-		if dryRun {
-			return nw.state.TestContext(runCtx, cand)
-		}
-		return nw.state.AdmitContext(runCtx, cand)
-	}
-	sctx, cancel, hasSoft := s.softContext(tctx, override)
-	if !hasSoft || !degradable(nw.state.Engine().Analyzer()) {
-		cancel()
-		d, err = run(tctx)
-		return d, false, err
-	}
-	d, err = run(sctx)
+	err = run(sctx, nil)
 	cancel()
 	if err == nil || !admission.IsCanceled(err) || ctx.Err() != nil {
-		return d, false, err
+		// Done, a real analyzer error, or the hard deadline itself.
+		return false, err
 	}
 	nw.metrics.DegradedServed()
-	s.log.Warn("admission degraded to decomposed bound",
-		"endpoint", endpoint, "network", nw.id, "connection", cand.Name, "dry_run", dryRun)
-	if dryRun {
-		d, err = nw.state.TestWith(tctx, fallbackAnalyzer, cand)
-	} else {
-		d, err = nw.state.AdmitWith(tctx, fallbackAnalyzer, cand)
+	s.log.Warn("degraded to decomposed bound",
+		append([]any{"endpoint", endpoint, "network", nw.id, "analyzer", analyzer.Name()}, attrs...)...)
+	if err := run(tctx, fallbackAnalyzer); err != nil {
+		return false, err
 	}
-	if err != nil {
-		return d, false, err
-	}
-	return d, true, nil
+	return true, nil
 }
 
 // Bound marshals a delay bound, rendering the unbounded (+Inf) and
@@ -713,7 +678,16 @@ func (s *Server) handleAdmit(nw *Network, w http.ResponseWriter, r *http.Request
 	// The admission test analyzes an immutable snapshot outside any lock;
 	// Admit commits with a version check and retries on conflict, so a
 	// timed-out client still never leaves the fabric in an unknown state.
-	d, degraded, err := s.runAdmission(ctx, nw, epAdmit, req.DryRun, cand, req.TimeoutSeconds)
+	var d admission.Decision
+	degraded, err := s.degrade(ctx, nw, epAdmit, nw.state.Analyzer(), req.TimeoutSeconds,
+		func(ctx context.Context, a analysis.Analyzer) (err error) {
+			if req.DryRun {
+				d, err = nw.state.TestWith(ctx, a, cand)
+			} else {
+				d, err = nw.state.AdmitWith(ctx, a, cand)
+			}
+			return err
+		}, "connection", cand.Name, "dry_run", req.DryRun)
 	if err != nil {
 		if admission.IsCanceled(err) {
 			s.shed(nw, w, "admission analysis did not finish before the request deadline")
@@ -876,11 +850,11 @@ func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request
 	}
 	defer s.releaseSlot()
 
-	// The envelope runs through the engine's pipelined batch path: one
-	// snapshot commit instead of one per operation, and
-	// no interleaving with concurrent traffic mid-envelope. A hard
-	// deadline therefore sheds the whole envelope with nothing committed
-	// (previously the committed prefix stayed).
+	// A live envelope runs through the engine's pipelined batch path: one
+	// snapshot commit instead of one per operation, degraded or not, and no
+	// interleaving with concurrent traffic mid-envelope. A hard deadline
+	// therefore sheds the whole envelope with nothing committed. A dry-run
+	// envelope evaluates every candidate against one pinned snapshot.
 	ops := make([]admission.Op, len(req.Operations))
 	for i, op := range req.Operations {
 		if op.Op == "admit" {
@@ -889,7 +863,20 @@ func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request
 			ops[i] = admission.Op{Kind: admission.OpRelease, Name: op.Name}
 		}
 	}
-	results, degraded, err := s.runBatch(ctx, nw, req.DryRun, cands, ops, req.TimeoutSeconds)
+	var results []admission.OpResult
+	degraded, err := s.degrade(ctx, nw, epBatch, nw.state.Analyzer(), req.TimeoutSeconds,
+		func(ctx context.Context, a analysis.Analyzer) (err error) {
+			if req.DryRun {
+				results, err = nw.state.TestBatchWith(ctx, a, cands)
+				return err
+			}
+			br, err := nw.state.ApplyBatchWith(ctx, a, ops)
+			if err != nil {
+				return err
+			}
+			results = br.Results
+			return nil
+		}, "dry_run", req.DryRun, "operations", len(ops))
 	if err != nil {
 		if admission.IsCanceled(err) {
 			s.shed(nw, w, "batch deadline exceeded")
@@ -948,74 +935,6 @@ func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request
 	}
 	resp.Count = nw.state.Count()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// runBatch executes a whole envelope through the pipelined batch path
-// under the serving degradation policy. Dry-run envelopes evaluate every
-// candidate against one pinned snapshot (TestBatch); live envelopes apply
-// through ApplyBatch. If the soft budget expires while the hard deadline
-// is alive, the envelope reruns on the decomposed fallback — sound
-// because the canceled run committed nothing (dry runs never commit; a
-// live envelope is atomic).
-func (s *Server) runBatch(ctx context.Context, nw *Network, dryRun bool, cands []topo.Connection, ops []admission.Op, override float64) ([]admission.OpResult, bool, error) {
-	tctx, tm := analysis.WithTimings(ctx)
-	defer s.observeStages(nw, epBatch, tm)
-	run := func(runCtx context.Context) ([]admission.OpResult, error) {
-		if dryRun {
-			return nw.state.TestBatch(runCtx, cands)
-		}
-		br, err := nw.state.ApplyBatch(runCtx, ops)
-		if err != nil {
-			return nil, err
-		}
-		return br.Results, nil
-	}
-	canDegrade := degradable(nw.state.Engine().Analyzer())
-	sctx, cancel, hasSoft := s.softContext(tctx, override)
-	if !hasSoft || !canDegrade {
-		cancel()
-		res, err := run(tctx)
-		return res, false, err
-	}
-	res, err := run(sctx)
-	cancel()
-	if err == nil || !admission.IsCanceled(err) || ctx.Err() != nil {
-		return res, false, err
-	}
-	nw.metrics.DegradedServed()
-	s.log.Warn("batch degraded to decomposed bound",
-		"network", nw.id, "dry_run", dryRun, "operations", len(ops))
-	if dryRun {
-		res, err = nw.state.TestBatchWith(tctx, fallbackAnalyzer, cands)
-	} else {
-		res, err = s.applyBatchDegraded(tctx, nw, cands, ops)
-	}
-	if err != nil {
-		return res, false, err
-	}
-	return res, true, nil
-}
-
-// applyBatchDegraded replays a live envelope per-op on the fallback
-// analyzer: the canceled pipelined run committed nothing, so the replay
-// starts clean. Degraded envelopes trade the single-commit invariant for
-// meeting the deadline (per-op commits, like the pre-pipelining path).
-func (s *Server) applyBatchDegraded(ctx context.Context, nw *Network, cands []topo.Connection, ops []admission.Op) ([]admission.OpResult, error) {
-	out := make([]admission.OpResult, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case admission.OpAdmit:
-			d, err := nw.state.AdmitWith(ctx, fallbackAnalyzer, cands[i])
-			if err != nil && admission.IsCanceled(err) {
-				return nil, err
-			}
-			out[i] = admission.OpResult{Decision: d, Err: err}
-		case admission.OpRelease:
-			info, ok := nw.state.Release(op.Name)
-			out[i] = admission.OpResult{Released: ok, Release: info}
-		}
-	}
-	return out, nil
 }
 
 // releaseMode names how the engine absorbed a release in API responses.
@@ -1094,7 +1013,8 @@ func (s *Server) handleList(nw *Network, w http.ResponseWriter, r *http.Request)
 	// Replica read: the listing pages the latest immutable snapshot's
 	// commit-ordered set without copying it; the header tells the client which
 	// version of the write history it reflects.
-	conns, version, util := nw.state.ReadView()
+	snap := nw.state.Snapshot()
+	conns, version := snap.Connections(), snap.Version()
 	setSnapshotVersion(w, version)
 
 	// A cursor is an offset into the snapshot it was cut from; any commit
@@ -1110,14 +1030,8 @@ func (s *Server) handleList(nw *Network, w http.ResponseWriter, r *http.Request)
 	// ?server= narrows the listing to connections whose path crosses the
 	// named fabric server.
 	if name := q.Get("server"); name != "" {
-		serverIdx := -1
-		for i, sv := range nw.state.Servers() {
-			if sv.Name == name {
-				serverIdx = i
-				break
-			}
-		}
-		if serverIdx < 0 {
+		serverIdx, ok := nw.state.ServerIndex()[name]
+		if !ok {
 			writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("no fabric server named %q", name))
 			return
 		}
@@ -1134,7 +1048,7 @@ func (s *Server) handleList(nw *Network, w http.ResponseWriter, r *http.Request)
 		conns = filtered
 	}
 
-	resp := ListResponse{Count: len(conns), Utilization: util}
+	resp := ListResponse{Count: len(conns), Utilization: snap.Utilization()}
 	page := conns
 	if offset > 0 {
 		if offset > len(conns) {
@@ -1213,13 +1127,12 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(nw *Network, w http.ResponseWriter, r *http.Request) {
-	eng := nw.state.Engine()
-	st := eng.Stats()
-	snap := eng.Snapshot()
+	st := nw.state.Stats()
+	snap := nw.state.Snapshot()
 	setSnapshotVersion(w, snap.Version())
 	resp := StatsResponse{
-		Analyzer:        eng.Analyzer().Name(),
-		Incremental:     eng.Incremental(),
+		Analyzer:        nw.state.Analyzer().Name(),
+		Incremental:     nw.state.Incremental(),
 		Admitted:        snap.Count(),
 		SnapshotVersion: snap.Version(),
 		Components:      snap.Components(),
@@ -1265,7 +1178,7 @@ func (s *Server) handleNetworks(_ *Network, w http.ResponseWriter, r *http.Reque
 		if !ok {
 			continue
 		}
-		snap := nw.state.Engine().Snapshot()
+		snap := nw.state.Snapshot()
 		resp.Networks = append(resp.Networks, NetworkInfo{
 			ID:              id,
 			Default:         id == defID,
@@ -1351,7 +1264,15 @@ func (s *Server) handleAnalyze(nw *Network, w http.ResponseWriter, r *http.Reque
 	// The analysis runs on the handler goroutine under the request's hard
 	// deadline: a shed request cancels its analysis cooperatively instead
 	// of abandoning a goroutine to finish unobserved.
-	res, degradedRes, err := s.runAnalysis(ctx, nw, epAnalyze, analyzer, net, req.TimeoutSeconds)
+	var res *analysis.Result
+	degradedRes, err := s.degrade(ctx, nw, epAnalyze, analyzer, req.TimeoutSeconds,
+		func(ctx context.Context, a analysis.Analyzer) (err error) {
+			if a == nil {
+				a = analyzer
+			}
+			res, err = analysis.AnalyzeWithContext(ctx, a, net)
+			return err
+		})
 	if err != nil {
 		if admission.IsCanceled(err) {
 			s.shed(nw, w, "analysis did not finish before the request deadline")
@@ -1387,12 +1308,13 @@ func writeAnalyzeResponse(w http.ResponseWriter, res *analysis.Result, digest st
 }
 
 func (s *Server) handleMetrics(nw *Network, w http.ResponseWriter, r *http.Request) {
-	setSnapshotVersion(w, nw.state.SnapshotVersion())
+	snap := nw.state.Snapshot()
+	setSnapshotVersion(w, snap.Version())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	nw.metrics.WriteText(w)
 	writeCacheMetrics(w, nw.cache)
-	writeAdmissionMetrics(w, nw.state)
-	writeEngineMetrics(w, nw.state)
+	writeAdmissionMetrics(w, nw.state, snap)
+	writeEngineMetrics(w, nw.state, snap)
 }
 
 func (s *Server) handleHealthz(_ *Network, w http.ResponseWriter, r *http.Request) {
